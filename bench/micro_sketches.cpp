@@ -8,10 +8,18 @@
 // dropped and its tail quantiles degrade with the sampling fraction — the
 // gap the full-stream sketch sinks close at a fixed small memory cost.
 //
+// Sketch rows digest through SlideSketchState::absorb, the path the sketch
+// sinks run on every worker, so the digest rates include the run-at-a-time
+// kernels (one Count-Min update per run of equal keys).
+//
 // Writes BENCH_micro_sketches.json (schema-gated by
 // scripts/check_bench_json.py): one run per (method, sketch kind, regime,
 // universe) cell with digest throughput and the measured error against the
-// exact stream answer. Scale the workload with SA_BENCH_SCALE.
+// exact stream answer. Count-Min sketch rows also carry the guarantee
+// Count-Min actually makes: the share of the universe's keys whose estimate
+// overshoots the exact count by more than ε·N ("overshoot_share"), which
+// the checker gates at ≤ δ ("delta"). Scale the workload with
+// SA_BENCH_SCALE.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,7 +34,7 @@
 #include "engine/record.h"
 #include "estimation/sample_queries.h"
 #include "sampling/oasrs.h"
-#include "sketch/sketches.h"
+#include "sketch/sketch_query.h"
 
 namespace {
 
@@ -94,6 +102,8 @@ GroundTruth exact_answers(const std::vector<Record>& records) {
 
 /// Mean relative error of the estimated counts of the TRUE top-K keys (a
 /// missing key estimates 0) — the heavy-hitter accuracy both methods chase.
+/// Count-Min promises no relative error (a light key's estimate may be many
+/// times its count); its guarantee is overshoot_share below.
 double heavy_hitter_error(
     const GroundTruth& truth,
     const std::map<std::uint64_t, double>& estimated) {
@@ -107,6 +117,41 @@ double heavy_hitter_error(
   return truth.top_keys.empty()
              ? 0.0
              : total / static_cast<double>(truth.top_keys.size());
+}
+
+/// Share of the universe's keys whose Count-Min estimate exceeds the exact
+/// count by more than ε·N — the event Count-Min bounds by δ per key.
+double overshoot_share(const GroundTruth& truth,
+                       const sketch::CountMinSketch& cm,
+                       std::uint64_t universe) {
+  const double slack = kCmEpsilon * static_cast<double>(cm.total());
+  std::size_t over = 0;
+  for (std::uint64_t key = 0; key < universe; ++key) {
+    const auto it = truth.counts.find(key);
+    const std::uint64_t exact = it == truth.counts.end() ? 0 : it->second;
+    if (static_cast<double>(cm.estimate(key) - exact) > slack) ++over;
+  }
+  return static_cast<double>(over) / static_cast<double>(universe);
+}
+
+/// A sketch spec keyed on the record's stratum.
+sketch::SketchSpec spec_for(sketch::SketchSpec::Kind kind, double epsilon) {
+  sketch::SketchSpec spec;
+  spec.kind = kind;
+  spec.key = sketch::SketchSpec::KeySource::kStratum;
+  spec.epsilon = epsilon;
+  spec.delta = kCmDelta;
+  spec.top_k = kTopK;
+  spec.seed = 7;
+  return spec;
+}
+
+/// Fresh state for `spec` with the whole stream absorbed in one call.
+sketch::SlideSketchState digest_stream(const sketch::SketchSpec& spec,
+                                       const std::vector<Record>& records) {
+  auto state = sketch::SlideSketchState::make(spec);
+  state.absorb(records.data(), records.size());
+  return state;
 }
 
 /// Mean relative error over the probe grid.
@@ -200,6 +245,8 @@ int main() {
   Table table("Sketch vs sample accuracy (mean relative error)",
               {"Regime", "Universe", "Query", "Sketch err", "Sample err",
                "Sketch rec/s", "Sample rec/s"});
+  Table guarantee("Count-Min guarantee: share of keys overshooting eps*N",
+                  {"Regime", "Universe", "Overshoot share", "Delta"});
   for (const auto& cell : cells) {
     const auto records = make_stream(cell.regime, count, cell.universe);
     const auto truth = exact_answers(records);
@@ -214,20 +261,21 @@ int main() {
     };
 
     // ---- Count-Min vs weight-scaled sample counts.
-    sketch::CountMinSketch cm(1, 1, 0);
+    const auto cm_spec = spec_for(sketch::SketchSpec::Kind::kCountMin,
+                                  kCmEpsilon);
+    sketch::SlideSketchState cm_state;
     const auto cm_measured = measure(
-        records.size(),
-        [&] {
-          cm = sketch::CountMinSketch::for_error(kCmEpsilon, kCmDelta, 7);
-          for (const auto& record : records) cm.update(record.stratum);
-        },
+        records.size(), [&] { cm_state = digest_stream(cm_spec, records); },
         [&] {
           std::map<std::uint64_t, double> estimated;
           for (const std::uint64_t key : truth.top_keys) {
-            estimated[key] = static_cast<double>(cm.estimate(key));
+            estimated[key] =
+                static_cast<double>(cm_state.count_min->estimate(key));
           }
           return heavy_hitter_error(truth, estimated);
         });
+    const double cm_overshoot =
+        overshoot_share(truth, *cm_state.count_min, cell.universe);
     const auto sample_hh = measure(records.size(), sample_digest, [&] {
       std::map<std::uint64_t, double> estimated;
       for (const auto& [key, est] :
@@ -236,8 +284,13 @@ int main() {
       }
       return heavy_hitter_error(truth, estimated);
     });
-    runs_json.push(run_json("sketch", "count_min", cell.regime, cell.universe,
-                            records.size(), cm_measured));
+    auto cm_json = run_json("sketch", "count_min", cell.regime, cell.universe,
+                            records.size(), cm_measured);
+    cm_json.set("overshoot_share", cm_overshoot);
+    cm_json.set("delta", kCmDelta);
+    runs_json.push(cm_json);
+    guarantee.add_row({cell.regime, std::to_string(cell.universe),
+                       Table::num(cm_overshoot), Table::num(kCmDelta)});
     runs_json.push(run_json("sample", "count_min", cell.regime, cell.universe,
                             records.size(), sample_hh));
     table.add_row({cell.regime, std::to_string(cell.universe), "heavy hitters",
@@ -247,16 +300,14 @@ int main() {
                    bench::format_throughput(sample_hh.records_per_sec)});
 
     // ---- HyperLogLog vs distinct-keys-observed-in-sample.
-    sketch::HyperLogLog hll(4, 0);
+    const auto hll_spec = spec_for(sketch::SketchSpec::Kind::kHyperLogLog,
+                                   kHllEpsilon);
+    sketch::SlideSketchState hll_state;
     const auto hll_measured = measure(
-        records.size(),
-        [&] {
-          hll = sketch::HyperLogLog::for_error(kHllEpsilon, 7);
-          for (const auto& record : records) hll.add(record.stratum);
-        },
+        records.size(), [&] { hll_state = digest_stream(hll_spec, records); },
         [&] {
           const double truth_d = static_cast<double>(truth.distinct);
-          return std::abs(hll.estimate() - truth_d) / truth_d;
+          return std::abs(hll_state.hll->estimate() - truth_d) / truth_d;
         });
     const auto sample_distinct = measure(records.size(), sample_digest, [&] {
       const double truth_d = static_cast<double>(truth.distinct);
@@ -275,16 +326,17 @@ int main() {
                    bench::format_throughput(sample_distinct.records_per_sec)});
 
     // ---- Log-bucket quantiles vs weight-expanded sample quantiles.
-    sketch::QuantileSketch quant(kQuantileAlpha);
+    const auto quant_spec = spec_for(sketch::SketchSpec::Kind::kQuantile,
+                                     kQuantileAlpha);
+    sketch::SlideSketchState quant_state;
     const auto quant_measured = measure(
         records.size(),
-        [&] {
-          quant = sketch::QuantileSketch(kQuantileAlpha);
-          for (const auto& record : records) quant.update(record.value);
-        },
+        [&] { quant_state = digest_stream(quant_spec, records); },
         [&] {
           std::vector<double> answers;
-          for (const double q : kProbes) answers.push_back(quant.quantile(q));
+          for (const double q : kProbes) {
+            answers.push_back(quant_state.quantile->quantile(q));
+          }
           return quantile_error(truth, answers);
         });
     const auto sample_quant = measure(records.size(), sample_digest, [&] {
@@ -305,6 +357,7 @@ int main() {
                    bench::format_throughput(sample_quant.records_per_sec)});
   }
   table.print();
+  guarantee.print();
 
   auto meta = bench::Json::object();
   meta.set("scale", bench::bench_scale());

@@ -47,7 +47,10 @@ def check_micro_sketches_run(path, index, run):
     """Sketch-vs-sample ablation runs carry the ablation axes explicitly:
     which method answered (full-stream sketch or OASRS sample), which
     sketch kind the row ablates, the key universe ('strata'), the headline
-    records/s, and the measured error against the exact stream answer."""
+    records/s, and the measured error against the exact stream answer.
+    Count-Min sketch rows also carry Count-Min's own guarantee: the share
+    of probed keys whose overcount exceeds eps*N ('overshoot_share') must
+    not exceed the failure probability the sketch was sized for ('delta')."""
     ok = True
     for key in ("method", "sketch", "strata", "records_per_sec",
                 "measured_error"):
@@ -70,7 +73,28 @@ def check_micro_sketches_run(path, index, run):
     if not isinstance(error, (int, float)) or error < 0:
         ok = fail(path, f"runs[{index}].measured_error = {error!r} is not a "
                         "number >= 0")
+    if run["method"] == "sketch" and run["sketch"] == "count_min":
+        ok = check_count_min_guarantee(path, index, run) and ok
     return ok
+
+
+def check_count_min_guarantee(path, index, run):
+    ok = True
+    for key in ("overshoot_share", "delta"):
+        if key not in run:
+            ok = fail(path, f"runs[{index}] missing key '{key}'")
+    if not ok:
+        return False
+    share, delta = run["overshoot_share"], run["delta"]
+    if not isinstance(share, (int, float)) or not 0 <= share <= 1:
+        return fail(path, f"runs[{index}].overshoot_share = {share!r} is "
+                          "not in [0, 1]")
+    if not isinstance(delta, (int, float)) or not 0 < delta < 1:
+        return fail(path, f"runs[{index}].delta = {delta!r} is not in (0, 1)")
+    if share > delta:
+        return fail(path, f"runs[{index}] Count-Min overshoot share {share} "
+                          f"exceeds delta {delta}")
+    return True
 
 
 # Benchmark-specific run validators, keyed by the 'benchmark' field. Every

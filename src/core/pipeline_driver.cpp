@@ -140,11 +140,27 @@ void PipelineDriver::attach_query(
     std::shared_ptr<QuerySubscription> subscription) {
   if (!sink) return;
   std::lock_guard lock(control_mutex_);
+  if (name_in_use(sink->name())) {
+    throw std::invalid_argument("attach_query: a query named '" +
+                                sink->name() + "' is already registered");
+  }
   PendingOp op;
   op.sink = std::move(sink);
   op.subscription = std::move(subscription);
   pending_.push_back(std::move(op));
   control_generation_.fetch_add(1, std::memory_order_release);
+}
+
+bool PipelineDriver::name_in_use(const std::string& name) const {
+  // Replay the queue over the live names, as apply_pending_ops will.
+  bool in_use = std::find(live_names_.begin(), live_names_.end(), name) !=
+                live_names_.end();
+  for (const auto& op : pending_) {
+    if (op.sink ? op.sink->name() == name : op.detach_name == name) {
+      in_use = op.sink != nullptr;
+    }
+  }
+  return in_use;
 }
 
 bool PipelineDriver::detach_query(const std::string& name) {

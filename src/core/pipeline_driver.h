@@ -290,7 +290,9 @@ class PipelineDriver {
   /// channel is created and nullptr is returned. If the sink carries an
   /// accuracy target (explicit, or inherited from an accuracy-kind budget),
   /// its FeedbackController joins the bank seeded at the budget currently
-  /// in force.
+  /// in force. Throws std::invalid_argument, queueing nothing, when the
+  /// sink's name is already registered or queued to be (a name whose
+  /// detach is queued is free again).
   std::shared_ptr<QuerySubscription> attach_query(
       std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity = 0);
 
@@ -364,6 +366,10 @@ class PipelineDriver {
     std::shared_ptr<QuerySubscription> subscription;
     std::string detach_name;          ///< detach when sink is null
   };
+
+  /// True when a query named `name` will be live once every queued
+  /// operation applies. Caller holds control_mutex_.
+  bool name_in_use(const std::string& name) const;
 
   /// Registers one sink into the live registry (constructor seeding and
   /// boundary attach share it). Lifecycle thread only.

@@ -1,6 +1,7 @@
 #include "core/stream_approx.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "common/clock.h"
@@ -12,6 +13,10 @@ namespace streamapprox::core {
 StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
     : broker_(broker), config_(std::move(config)) {
   // Validated eagerly so misconfiguration fails at construction.
+  if (config_.poll_batch == 0) {
+    // A zero-record poll never drains the topic, so run() would spin forever.
+    throw std::invalid_argument("StreamApprox: poll_batch must be positive");
+  }
   engine::SlidingWindowAssembler probe(config_.window);
   (void)probe;
   broker_.topic(config_.topic);  // throws if missing
@@ -26,6 +31,10 @@ std::shared_ptr<QuerySubscription> StreamApprox::attach_query(
   }
   // No run yet: create the channel now and queue the attach for the next
   // run's driver, where it applies before the first slide closes.
+  if (pre_run_name_in_use(sink->name())) {
+    throw std::invalid_argument("attach_query: a query named '" +
+                                sink->name() + "' is already registered");
+  }
   PendingAttach pending;
   pending.sink = std::move(sink);
   if (subscription_capacity > 0) {
@@ -60,6 +69,15 @@ bool StreamApprox::detach_query(const std::string& name) {
     return true;
   }
   return false;
+}
+
+bool StreamApprox::pre_run_name_in_use(const std::string& name) const {
+  for (const auto& pending : pre_run_attaches_) {
+    if (pending.sink->name() == name) return true;
+  }
+  return config_has_query(name) &&
+         std::find(pre_run_detaches_.begin(), pre_run_detaches_.end(),
+                   name) == pre_run_detaches_.end();
 }
 
 bool StreamApprox::config_has_query(const std::string& name) const {
@@ -99,11 +117,14 @@ std::size_t StreamApprox::query_count() const {
 
 void StreamApprox::install_driver(PipelineDriver& driver) {
   std::lock_guard lock(control_mutex_);
+  // Detaches first: a pre-run attach may reuse the name of a config query
+  // slated for detach, and the driver accepts it only once that detach is
+  // queued ahead of it.
+  for (const auto& name : pre_run_detaches_) driver.detach_query(name);
   for (auto& pending : pre_run_attaches_) {
     driver.attach_query(std::move(pending.sink),
                         std::move(pending.subscription));
   }
-  for (const auto& name : pre_run_detaches_) driver.detach_query(name);
   pre_run_attaches_.clear();
   pre_run_detaches_.clear();
   live_driver_ = &driver;

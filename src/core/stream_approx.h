@@ -221,7 +221,10 @@ class StreamApprox {
   /// requested. If the sink carries an accuracy target it joins the
   /// feedback bank seeded at the budget currently in force. Dynamic
   /// attachments are one-shot: they apply to the current (or next) run and
-  /// do not modify the durable config.
+  /// do not modify the durable config. Names are unique: throws
+  /// std::invalid_argument, leaving the registry unchanged, when a query of
+  /// the same name is registered or queued to be (a name whose detach is
+  /// queued is free again).
   std::shared_ptr<QuerySubscription> attach_query(
       std::unique_ptr<QuerySink> sink, std::size_t subscription_capacity = 0);
 
@@ -264,6 +267,10 @@ class StreamApprox {
   /// True when `name` addresses a config-registered query, including the
   /// legacy sinks ("query", "histogram") a legacy config synthesizes.
   bool config_has_query(const std::string& name) const;
+
+  /// True when a query named `name` will be registered once the queued
+  /// pre-run operations apply. Caller holds control_mutex_.
+  bool pre_run_name_in_use(const std::string& name) const;
 
   /// Hands queued pre-run control operations to the freshly built driver
   /// and publishes it as the live attach/detach target.

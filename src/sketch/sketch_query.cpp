@@ -4,17 +4,51 @@
 #include <cmath>
 
 namespace streamapprox::sketch {
+namespace {
 
-std::uint64_t sketch_key(const SketchSpec& spec,
-                         const engine::Record& record) {
-  switch (spec.key) {
-    case SketchSpec::KeySource::kValueInt:
-      return static_cast<std::uint64_t>(std::llround(record.value));
-    case SketchSpec::KeySource::kStratum:
-    default:
-      return static_cast<std::uint64_t>(record.stratum);
+/// Calls fn(key, length) once per maximal run of records with equal
+/// consecutive keys, computing each record's key once. A run of n records is
+/// one Count-Min update of weight n: the counters and the candidate set end
+/// up exactly as n per-record updates would leave them.
+template <typename KeyFn, typename RunFn>
+void for_each_run(const engine::Record* records, std::size_t n,
+                  const KeyFn& key_fn, const RunFn& fn) {
+  if (n == 0) return;
+  std::uint64_t key = key_fn(records[0]);
+  std::size_t length = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t next = key_fn(records[i]);
+    if (next == key) {
+      ++length;
+      continue;
+    }
+    fn(key, length);
+    key = next;
+    length = 1;
+  }
+  fn(key, length);
+}
+
+/// for_each_run over the key the spec's KeySource selects.
+template <typename RunFn>
+void for_each_key_run(const SketchSpec& spec, const engine::Record* records,
+                      std::size_t n, const RunFn& fn) {
+  if (spec.key == SketchSpec::KeySource::kValueInt) {
+    for_each_run(records, n,
+                 [](const engine::Record& r) {
+                   return static_cast<std::uint64_t>(std::llround(r.value));
+                 },
+                 fn);
+  } else {
+    for_each_run(records, n,
+                 [](const engine::Record& r) {
+                   return static_cast<std::uint64_t>(r.stratum);
+                 },
+                 fn);
   }
 }
+
+}  // namespace
 
 SlideSketchState SlideSketchState::make(const SketchSpec& spec) {
   SlideSketchState state;
@@ -38,16 +72,17 @@ void SlideSketchState::absorb(const engine::Record* records, std::size_t n) {
   seen += n;
   switch (spec.kind) {
     case SketchSpec::Kind::kCountMin:
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = sketch_key(spec, records[i]);
-        count_min->update(key);
-        candidates.insert(key);
-      }
+      for_each_key_run(spec, records, n,
+                       [&](std::uint64_t key, std::size_t length) {
+                         count_min->update(key, length);
+                         candidates.insert(key);
+                       });
       break;
     case SketchSpec::Kind::kHyperLogLog:
-      for (std::size_t i = 0; i < n; ++i) {
-        hll->add(sketch_key(spec, records[i]));
-      }
+      // Adding a key twice leaves the registers unchanged, so a run needs
+      // one add.
+      for_each_key_run(spec, records, n,
+                       [&](std::uint64_t key, std::size_t) { hll->add(key); });
       break;
     case SketchSpec::Kind::kQuantile:
       for (std::size_t i = 0; i < n; ++i) {

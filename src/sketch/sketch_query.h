@@ -54,9 +54,6 @@ struct SketchSpec {
   std::uint64_t id = 0;
 };
 
-/// Extracts the sketch key from a record per the spec's KeySource.
-std::uint64_t sketch_key(const SketchSpec& spec, const engine::Record& record);
-
 /// One window's evaluated sketch answer (the payload on QueryOutput).
 /// Equality is exact — the sharded-equivalence tests compare these
 /// bit-for-bit against the sequential run.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <stdexcept>
 
@@ -44,12 +45,16 @@ CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
   if (width_ == 0 || depth_ == 0) {
     throw std::invalid_argument("count-min width and depth must be positive");
   }
+  salts_.reserve(depth_);
+  for (std::size_t row = 0; row < depth_; ++row) {
+    salts_.push_back(mix64(seed_ + row));
+  }
   counters_.assign(width_ * depth_, 0);
 }
 
 std::size_t CountMinSketch::index(std::size_t row,
                                   std::uint64_t key) const noexcept {
-  const std::uint64_t h = mix64(key ^ mix64(seed_ + row));
+  const std::uint64_t h = mix64(key ^ salts_[row]);
   return row * width_ + static_cast<std::size_t>(h % width_);
 }
 
@@ -102,7 +107,7 @@ int HyperLogLog::precision_for(double epsilon) {
 }
 
 HyperLogLog::HyperLogLog(int precision, std::uint64_t seed)
-    : precision_(precision), seed_(seed) {
+    : precision_(precision), seed_(seed), salt_(mix64(seed)) {
   if (precision_ < 4 || precision_ > 18) {
     throw std::invalid_argument("hyperloglog precision must be in [4, 18]");
   }
@@ -110,7 +115,7 @@ HyperLogLog::HyperLogLog(int precision, std::uint64_t seed)
 }
 
 void HyperLogLog::add(std::uint64_t key) {
-  const std::uint64_t h = mix64(key ^ mix64(seed_));
+  const std::uint64_t h = mix64(key ^ salt_);
   const std::size_t idx = static_cast<std::size_t>(h >> (64 - precision_));
   const std::uint64_t rest = h << precision_;
   const std::uint8_t rank = static_cast<std::uint8_t>(
@@ -161,12 +166,73 @@ std::uint64_t HyperLogLog::digest() const noexcept {
 // ---------------------------------------------------------------------------
 // QuantileSketch
 
+std::uint64_t QuantileSketch::BucketStore::at(
+    std::int64_t index) const noexcept {
+  const std::int64_t pos = index - offset;
+  return pos >= 0 && pos < static_cast<std::int64_t>(counts.size())
+             ? counts[static_cast<std::size_t>(pos)]
+             : 0;
+}
+
+void QuantileSketch::BucketStore::cover(std::int32_t lo, std::int32_t hi,
+                                        std::int32_t min_index,
+                                        std::int32_t max_index) {
+  const std::int64_t size = static_cast<std::int64_t>(counts.size());
+  std::int64_t new_lo = lo;
+  std::int64_t new_hi = hi;
+  if (size > 0) {
+    const std::int64_t cur_lo = offset;
+    const std::int64_t cur_hi = cur_lo + size - 1;
+    if (lo >= cur_lo && hi <= cur_hi) return;
+    // Doubling toward the growing side keeps repeated growth (a descending
+    // or ascending stream) amortised O(1) per bucket.
+    new_lo = lo < cur_lo ? std::min<std::int64_t>(lo, cur_lo - size) : cur_lo;
+    new_hi = hi > cur_hi ? std::max<std::int64_t>(hi, cur_hi + size) : cur_hi;
+    new_lo = std::max<std::int64_t>(new_lo, std::min(lo, min_index));
+    new_hi = std::min<std::int64_t>(new_hi, std::max(hi, max_index));
+  }
+  std::vector<std::uint64_t> grown(
+      static_cast<std::size_t>(new_hi - new_lo + 1), 0);
+  std::copy(counts.begin(), counts.end(),
+            grown.begin() + (size > 0 ? offset - new_lo : 0));
+  counts = std::move(grown);
+  offset = static_cast<std::int32_t>(new_lo);
+}
+
+std::size_t QuantileSketch::BucketStore::first_nonzero() const noexcept {
+  std::size_t pos = 0;
+  while (pos < counts.size() && counts[pos] == 0) ++pos;
+  return pos;
+}
+
+std::size_t QuantileSketch::BucketStore::end_nonzero() const noexcept {
+  std::size_t end = counts.size();
+  while (end > 0 && counts[end - 1] == 0) --end;
+  return end;
+}
+
+bool QuantileSketch::BucketStore::operator==(
+    const BucketStore& other) const noexcept {
+  const std::int64_t lo = std::min(offset, other.offset);
+  const std::int64_t hi = std::max(
+      offset + static_cast<std::int64_t>(counts.size()),
+      other.offset + static_cast<std::int64_t>(other.counts.size()));
+  for (std::int64_t index = lo; index < hi; ++index) {
+    if (at(index) != other.at(index)) return false;
+  }
+  return true;
+}
+
 QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
   if (!(alpha > 0.0) || alpha >= 1.0) {
     throw std::invalid_argument("quantile alpha must be in (0, 1)");
   }
   gamma_ = (1.0 + alpha) / (1.0 - alpha);
   log_gamma_ = std::log(gamma_);
+  // bucket_index is monotone in the magnitude, so these bound every index
+  // update() can produce.
+  min_index_ = bucket_index(1e-12);
+  max_index_ = bucket_index(DBL_MAX);
 }
 
 std::int32_t QuantileSketch::bucket_index(double magnitude) const {
@@ -180,18 +246,29 @@ double QuantileSketch::representative(std::int32_t index) const {
   return 2.0 * std::pow(gamma_, static_cast<double>(index)) / (gamma_ + 1.0);
 }
 
+void QuantileSketch::add(BucketStore& store, std::int32_t index) {
+  std::size_t pos = static_cast<std::size_t>(
+      static_cast<std::int64_t>(index) - store.offset);
+  if (pos >= store.counts.size()) {
+    store.cover(index, index, min_index_, max_index_);
+    pos = static_cast<std::size_t>(index - store.offset);
+  }
+  ++store.counts[pos];
+}
+
 void QuantileSketch::update(double value) {
+  if (std::isnan(value)) return;
   ++count_;
   // Magnitudes below the smallest representable bucket boundary collapse to
   // the zero bucket (their absolute value is ≤ 1e-12; relative error on such
   // answers is meaningless at double precision anyway).
-  const double magnitude = std::abs(value);
+  const double magnitude = std::min(std::abs(value), DBL_MAX);
   if (magnitude <= 1e-12) {
     ++zero_count_;
   } else if (value > 0.0) {
-    ++positive_[bucket_index(magnitude)];
+    add(positive_, bucket_index(magnitude));
   } else {
-    ++negative_[bucket_index(magnitude)];
+    add(negative_, bucket_index(magnitude));
   }
 }
 
@@ -202,23 +279,26 @@ double QuantileSketch::quantile(double q) const {
       q * static_cast<double>(count_ - 1);  // rank in [0, count)
   std::uint64_t cumulative = 0;
   // Ascending value order: most-negative first (descending |v| index), then
-  // zeros, then positives ascending.
-  for (auto it = negative_.rbegin(); it != negative_.rend(); ++it) {
-    cumulative += it->second;
+  // zeros, then positives ascending. Empty buckets never cross the target.
+  for (std::size_t pos = negative_.counts.size(); pos-- > 0;) {
+    cumulative += negative_.counts[pos];
     if (static_cast<double>(cumulative) > target) {
-      return -representative(it->first);
+      return -representative(negative_.offset + static_cast<std::int32_t>(pos));
     }
   }
   cumulative += zero_count_;
   if (static_cast<double>(cumulative) > target) return 0.0;
-  for (const auto& [index, bucket_count] : positive_) {
-    cumulative += bucket_count;
+  for (std::size_t pos = 0; pos < positive_.counts.size(); ++pos) {
+    cumulative += positive_.counts[pos];
     if (static_cast<double>(cumulative) > target) {
-      return representative(index);
+      return representative(positive_.offset + static_cast<std::int32_t>(pos));
     }
   }
   // Numerically unreachable; return the largest representative for safety.
-  return positive_.empty() ? 0.0 : representative(positive_.rbegin()->first);
+  const std::size_t end = positive_.end_nonzero();
+  return end == 0 ? 0.0
+                  : representative(positive_.offset +
+                                   static_cast<std::int32_t>(end - 1));
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -227,21 +307,32 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   count_ += other.count_;
   zero_count_ += other.zero_count_;
-  for (const auto& [index, bucket_count] : other.positive_) {
-    positive_[index] += bucket_count;
-  }
-  for (const auto& [index, bucket_count] : other.negative_) {
-    negative_[index] += bucket_count;
+  for (const auto& [mine, theirs] :
+       {std::pair{&positive_, &other.positive_},
+        std::pair{&negative_, &other.negative_}}) {
+    const std::size_t first = theirs->first_nonzero();
+    const std::size_t end = theirs->end_nonzero();
+    if (first >= end) continue;
+    const std::int32_t lo = theirs->offset + static_cast<std::int32_t>(first);
+    const std::int32_t hi = theirs->offset + static_cast<std::int32_t>(end - 1);
+    mine->cover(lo, hi, min_index_, max_index_);
+    std::uint64_t* into = mine->counts.data() + (lo - mine->offset);
+    for (std::size_t pos = first; pos < end; ++pos) {
+      *into++ += theirs->counts[pos];
+    }
   }
 }
 
 std::uint64_t QuantileSketch::digest() const noexcept {
   std::uint64_t acc = mix64(std::bit_cast<std::uint64_t>(alpha_));
-  for (const auto& [index, bucket_count] : positive_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 2, bucket_count);
-  }
-  for (const auto& [index, bucket_count] : negative_) {
-    acc = fold(acc, static_cast<std::uint64_t>(index) * 2 + 3, bucket_count);
+  for (const auto& [store, tag] : {std::pair{&positive_, std::uint64_t{2}},
+                                   std::pair{&negative_, std::uint64_t{3}}}) {
+    for (std::size_t pos = 0; pos < store->counts.size(); ++pos) {
+      if (store->counts[pos] == 0) continue;
+      const auto index = static_cast<std::uint64_t>(
+          store->offset + static_cast<std::int32_t>(pos));
+      acc = fold(acc, index * 2 + tag, store->counts[pos]);
+    }
   }
   return mix64(acc ^ (count_ * 0x9e3779b97f4a7c15ULL) ^ zero_count_);
 }

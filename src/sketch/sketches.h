@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace streamapprox::sketch {
@@ -81,6 +80,7 @@ class CountMinSketch {
   std::size_t depth_ = 0;
   std::uint64_t seed_ = 0;
   std::uint64_t total_ = 0;
+  std::vector<std::uint64_t> salts_;     // mix64(seed_ + row), per row
   std::vector<std::uint64_t> counters_;  // depth_ rows of width_ counters
 };
 
@@ -122,6 +122,7 @@ class HyperLogLog {
  private:
   int precision_ = 0;
   std::uint64_t seed_ = 0;
+  std::uint64_t salt_ = 0;  // mix64(seed_)
   std::vector<std::uint8_t> registers_;
 };
 
@@ -132,10 +133,16 @@ class HyperLogLog {
 /// adds bucket counts — exact. This fills the KLL slot of the query family;
 /// KLL's randomized compaction was rejected because its state depends on
 /// arrival order, which would break sharded ≡ sequential bit-identity.
+///
+/// Each sign keeps its counts in a dense vector indexed from an offset,
+/// grown at either end on demand and never past the indices a finite
+/// magnitude above 1e-12 can reach: at most ⌈(ln DBL_MAX − ln 1e-12)/ln γ⌉
+/// buckets per sign (about 37 k at α = 0.01).
 class QuantileSketch {
  public:
   explicit QuantileSketch(double alpha);
 
+  /// Counts one value. ±infinity counts as ±DBL_MAX; NaN is ignored.
   void update(double value);
 
   /// Value at quantile q ∈ [0, 1] (midpoint of the covering bucket, so the
@@ -155,16 +162,39 @@ class QuantileSketch {
                          const QuantileSketch&) = default;
 
  private:
+  /// One sign's bucket counts: bucket i lives at counts[i − offset]. Cells
+  /// outside the range and slack cells are zero; equality compares only the
+  /// non-zero buckets, so offset and capacity never matter.
+  struct BucketStore {
+    std::int32_t offset = 0;
+    std::vector<std::uint64_t> counts;
+
+    /// Count at bucket `index` (zero outside the stored range).
+    std::uint64_t at(std::int64_t index) const noexcept;
+    /// Grows the range to cover [lo, hi] (doubling toward the side that
+    /// grows, clamped to [min_index, max_index]).
+    void cover(std::int32_t lo, std::int32_t hi, std::int32_t min_index,
+               std::int32_t max_index);
+    /// Positions of the first and one-past-last non-zero bucket.
+    std::size_t first_nonzero() const noexcept;
+    std::size_t end_nonzero() const noexcept;
+
+    bool operator==(const BucketStore& other) const noexcept;
+  };
+
   std::int32_t bucket_index(double magnitude) const;
   double representative(std::int32_t index) const;
+  void add(BucketStore& store, std::int32_t index);
 
   double alpha_ = 0.0;
   double gamma_ = 0.0;
   double log_gamma_ = 0.0;
+  std::int32_t min_index_ = 0;  // bucket of magnitude 1e-12
+  std::int32_t max_index_ = 0;  // bucket of magnitude DBL_MAX
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;
-  std::map<std::int32_t, std::uint64_t> positive_;
-  std::map<std::int32_t, std::uint64_t> negative_;  // keyed by index of |v|
+  BucketStore positive_;
+  BucketStore negative_;  // indexed by the bucket of |v|
 };
 
 }  // namespace streamapprox::sketch

@@ -19,6 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -540,6 +543,66 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
     EXPECT_FALSE(orphan->finished());
   }
   EXPECT_TRUE(orphan->finished());
+}
+
+TEST(DynamicQuery, AttachRejectsDuplicateNamesAndLeavesRegistryUnchanged) {
+  const auto records = gaussian_stream(3.0, 4000.0, 31);
+  ingest::Broker broker;
+  broker.create_topic("input", 1);
+  ingest::Producer producer(broker, "input");
+  producer.send_batch(records);
+  producer.finish();
+  StreamApproxConfig config;
+  config.topic = "input";
+  config.window = {1'000'000, 500'000};
+  config.query = {Aggregation::kMean, false};
+  config.idle_partition_timeout_ms = 30'000;
+  StreamApprox system(broker, config);
+  const auto sink = [](const std::string& name) {
+    return std::make_unique<AggregateSink>(
+        name, QuerySpec{Aggregation::kSum, false});
+  };
+
+  // Pre-run: the config-synthesized "query" and a queued attach are taken.
+  EXPECT_THROW(system.attach_query(sink("query")), std::invalid_argument);
+  system.attach_query(sink("pre"));
+  EXPECT_THROW(system.attach_query(sink("pre"), 4), std::invalid_argument);
+  EXPECT_EQ(system.query_count(), 2u);
+  // A name whose detach is queued is free again.
+  EXPECT_TRUE(system.detach_query("query"));
+  system.attach_query(sink("query"));
+  EXPECT_EQ(system.query_count(), 2u);
+
+  bool attached_live = false;
+  std::vector<WindowOutput> outputs;
+  system.run([&](const WindowOutput& output) {
+    outputs.push_back(output);
+    if (attached_live) return;
+    attached_live = true;
+    // Live: registered names and a still-pending attach are all taken.
+    EXPECT_THROW(system.attach_query(sink("pre")), std::invalid_argument);
+    EXPECT_THROW(system.attach_query(sink("query")), std::invalid_argument);
+    system.attach_query(sink("live"));
+    EXPECT_THROW(system.attach_query(sink("live")), std::invalid_argument);
+  });
+
+  ASSERT_GT(outputs.size(), 3u);
+  for (const auto& output : outputs) {
+    std::set<std::string> names;
+    for (const auto& q : output.queries) names.insert(q.name);
+    EXPECT_EQ(names.size(), output.queries.size());
+  }
+  const auto& last = outputs.back().queries;
+  ASSERT_EQ(last.size(), 3u);
+  std::set<std::string> names;
+  for (const auto& q : last) names.insert(q.name);
+  EXPECT_EQ(names, (std::set<std::string>{"pre", "query", "live"}));
+  // The replacement "query" is the SUM sink, not the detached MEAN one.
+  for (const auto& q : last) {
+    if (q.name == "query") {
+      EXPECT_GT(q.estimate.overall.estimate, 1000.0);
+    }
+  }
 }
 
 TEST(DynamicQuery, AttachDetachStormUnderExchangeSharding) {

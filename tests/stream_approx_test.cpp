@@ -37,6 +37,27 @@ TEST(StreamApprox, RequiresExistingTopic) {
   EXPECT_THROW(StreamApprox(broker, base_config()), std::out_of_range);
 }
 
+// A zero-record poll never drains the topic, so both poll loops would spin
+// forever: the constructor rejects the config instead.
+void expect_zero_poll_batch_rejected(std::size_t workers) {
+  ingest::Broker broker;
+  broker.create_topic("input", 2);
+  auto config = base_config();
+  config.workers = workers;
+  config.poll_batch = 0;
+  EXPECT_THROW(StreamApprox(broker, config), std::invalid_argument);
+  config.poll_batch = 1;
+  EXPECT_NO_THROW(StreamApprox(broker, config));
+}
+
+TEST(StreamApprox, RejectsZeroPollBatchSequential) {
+  expect_zero_poll_batch_rejected(1);
+}
+
+TEST(StreamApprox, RejectsZeroPollBatchSharded) {
+  expect_zero_poll_batch_rejected(2);
+}
+
 TEST(StreamApprox, ProducesWindowsWithBounds) {
   ingest::Broker broker;
   broker.create_topic("input", 3);
