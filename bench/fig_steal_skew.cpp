@@ -90,7 +90,6 @@ Run run_schedule(const std::vector<engine::Record>& records,
   config.budget = estimation::QueryBudget::fraction(0.4);
   config.window = {2'000'000, 1'000'000};
   config.workers = kWorkers;
-  config.use_exchange = true;
   config.work_stealing = work_stealing;
   config.exchanges = exchanges;
   config.ingest_cost = {ingest_rounds()};

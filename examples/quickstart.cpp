@@ -51,8 +51,7 @@ int main() {
   // Parallel sampling: 4 workers even though the topic has 3 partitions —
   // the repartitioning exchange (on by default) re-keys partition batches by
   // stratum hash, so worker count is independent of partition count. Tune
-  // the morsel size with config.exchange_batch_size, or set
-  // config.use_exchange = false to pin workers to partitions.
+  // the morsel size with config.exchange_batch_size.
   config.workers = 4;
 
   core::StreamApprox system(broker, config);

@@ -5,9 +5,13 @@
 //
 //   sa_cli --system flink-approx --workload netflow --fraction 0.4
 //          --duration 10 --window 4 --slide 2 --workers 4 [--per-stratum]
+//
+// An invalid configuration (e.g. --window 3 --slide 2) prints
+// "sa_cli: <reason>" to stderr and exits with status 2, like a bad flag.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "common/table.h"
@@ -135,10 +139,7 @@ Options parse_args(int argc, char** argv) {
   return options;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options options = parse_args(argc, argv);
+int run(const Options& options) {
   const auto kind = parse_system(options.system);
   const auto records = make_workload(options);
 
@@ -185,4 +186,15 @@ int main(int argc, char** argv) {
               "%.4f%%\n",
               result.throughput() / 1e6, result.wall_seconds, 100.0 * loss);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(parse_args(argc, argv));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "sa_cli: %s\n", error.what());
+    return 2;
+  }
 }

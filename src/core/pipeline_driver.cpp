@@ -53,16 +53,8 @@ PipelineDriver::PipelineDriver(PipelineDriverConfig config, OutputFn on_output,
       slide_budget_(config_.initial_budget) {
   sketch_plan_ = std::make_shared<const sketch::SketchPlan>();
   if (!config_.evaluate) return;
-  // Seed the query registry: the configured set, or — for backward
-  // compatibility — a set synthesised from the legacy single-query fields.
-  auto seeds = config_.queries.clone_sinks();
-  if (seeds.empty()) {
-    QuerySet legacy;
-    legacy.aggregate("query", config_.query);
-    if (config_.histogram) legacy.histogram("histogram", *config_.histogram);
-    seeds = legacy.clone_sinks();
-  }
-  for (auto& sink : seeds) {
+  // Seed the query registry with the configured set.
+  for (auto& sink : config_.queries.clone_sinks()) {
     register_sink(std::move(sink), nullptr, /*attach_slide=*/0,
                   config_.initial_budget);
   }
@@ -451,7 +443,7 @@ void PipelineDriver::complete_slide(
         output.records_sampled += cell.sampled;
       }
       output.budget_in_force = slide_budget_.load(std::memory_order_relaxed);
-      // The legacy mirror always carries the window's bounds, even when no
+      // The estimate mirror always carries the window's bounds, even when no
       // query is eligible for it (e.g. every query detached, or a freshly
       // attached one still waiting for its first whole window) — consumers
       // identify outputs by estimate.window_end_us.
@@ -482,8 +474,6 @@ void PipelineDriver::complete_slide(
           q.subscription->publish(std::move(own));
         }
       }
-      // Legacy mirrors: the first query is THE query of a single-query
-      // config, and the first histogram its optional histogram.
       if (!output.queries.empty()) {
         output.estimate = output.queries.front().estimate;
       }

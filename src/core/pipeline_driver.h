@@ -63,7 +63,6 @@
 #include "engine/window.h"
 #include "estimation/cost_function.h"
 #include "estimation/feedback.h"
-#include "estimation/histogram_query.h"
 #include "sampling/oasrs.h"
 
 namespace streamapprox::core {
@@ -73,14 +72,16 @@ namespace streamapprox::core {
 /// sampling counters are per WINDOW, not per query — the stream is sampled
 /// once regardless of how many queries are registered.
 struct WindowOutput {
-  /// The first registered query's estimate (the single query of a legacy
-  /// config); `queries` carries every registered query's output.
+  /// The first registered query's estimate; `queries` carries every
+  /// registered query's output. The window bounds are always set, even when
+  /// no query reports for this window (an empty registry, or every query
+  /// still waiting for its first whole window).
   WindowEstimate estimate;
   std::uint64_t records_seen = 0;     ///< Σ C_i in the window
   std::uint64_t records_sampled = 0;  ///< Σ Y_i in the window
   std::size_t budget_in_force = 0;    ///< per-slide sample budget used
-  /// The first registered HISTOGRAM query's histogram (the legacy config's
-  /// optional histogram): bucket masses estimate full-population counts.
+  /// The first registered HISTOGRAM query's histogram: bucket masses
+  /// estimate full-population counts.
   std::optional<Histogram> histogram;
   /// Every registered query's output, in registration order. Queries
   /// attached mid-stream appear only from their first whole window on.
@@ -147,12 +148,10 @@ class QuerySubscription {
 
 /// Configuration of the slide lifecycle.
 struct PipelineDriverConfig {
-  /// The registered queries evaluated per window. When empty (and `evaluate`
-  /// is true) the legacy single-query fields below are mapped onto a
-  /// one-entry set: `query` (+ `histogram` when set) at confidence `z`.
+  /// The registered queries evaluated per window (when `evaluate` is true).
+  /// May be empty: windows are still emitted with their sampling counters
+  /// and bounds, and queries can be attached mid-run.
   QuerySet queries;
-  /// Legacy single streaming query, used only when `queries` is empty.
-  QuerySpec query{};
   /// The user's query budget (fraction / latency / tokens / accuracy). An
   /// accuracy budget becomes the default target of registered aggregate
   /// queries that carry no explicit per-query target.
@@ -164,9 +163,6 @@ struct PipelineDriverConfig {
   /// Default confidence (standard deviations) for bounds and the feedback
   /// loop; individual queries may override it per sink.
   double z = 2.0;
-  /// Legacy optional approximate HISTOGRAM query (§3.2), used only when
-  /// `queries` is empty.
-  std::optional<estimation::HistogramSpec> histogram;
   /// RNG seed; per-slide sampler seeds are derived deterministically.
   std::uint64_t seed = 2017;
   /// Sample budget before any arrival statistics exist; the cost function /

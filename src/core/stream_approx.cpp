@@ -1,6 +1,7 @@
 #include "core/stream_approx.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +17,19 @@ StreamApprox::StreamApprox(ingest::Broker& broker, StreamApproxConfig config)
   if (config_.poll_batch == 0) {
     // A zero-record poll never drains the topic, so run() would spin forever.
     throw std::invalid_argument("StreamApprox: poll_batch must be positive");
+  }
+  const double budget = config_.budget.value;
+  if (!std::isfinite(budget) || budget <= 0.0) {
+    throw std::invalid_argument(
+        "StreamApprox: budget.value must be finite and positive");
+  }
+  if (config_.budget.kind == estimation::BudgetKind::kSampleFraction &&
+      budget > 1.0) {
+    throw std::invalid_argument(
+        "StreamApprox: budget.value (sample fraction) must not exceed 1");
+  }
+  if (!std::isfinite(config_.z) || config_.z <= 0.0) {
+    throw std::invalid_argument("StreamApprox: z must be finite and positive");
   }
   engine::SlidingWindowAssembler probe(config_.window);
   (void)probe;
@@ -81,16 +95,10 @@ bool StreamApprox::pre_run_name_in_use(const std::string& name) const {
 }
 
 bool StreamApprox::config_has_query(const std::string& name) const {
-  if (!config_.queries.empty()) {
-    for (const auto& sink : config_.queries.sinks()) {
-      if (sink->name() == name) return true;
-    }
-    return false;
+  for (const auto& sink : config_.queries.sinks()) {
+    if (sink->name() == name) return true;
   }
-  // An empty set synthesizes the legacy sinks "query" (+ "histogram") at
-  // driver construction; pre-run control must address them by those names
-  // exactly as a running driver would.
-  return name == "query" || (config_.histogram && name == "histogram");
+  return false;
 }
 
 StreamApprox::~StreamApprox() {
@@ -105,12 +113,7 @@ StreamApprox::~StreamApprox() {
 std::size_t StreamApprox::query_count() const {
   std::lock_guard lock(control_mutex_);
   if (live_driver_ != nullptr) return live_driver_->query_count();
-  // Mirror the driver's construction rule: an empty set synthesizes the
-  // legacy "query" sink plus "histogram" when configured.
-  const std::size_t configured =
-      config_.queries.empty() ? (config_.histogram ? 2 : 1)
-                              : config_.queries.size();
-  const std::size_t total = configured + pre_run_attaches_.size();
+  const std::size_t total = config_.queries.size() + pre_run_attaches_.size();
   return total > pre_run_detaches_.size() ? total - pre_run_detaches_.size()
                                           : 0;
 }
@@ -138,12 +141,10 @@ void StreamApprox::uninstall_driver() {
 PipelineDriverConfig StreamApprox::driver_config() const {
   PipelineDriverConfig driver;
   driver.queries = config_.queries;
-  driver.query = config_.query;
   driver.budget = config_.budget;
   driver.window = config_.window;
   driver.query_cost = config_.query_cost;
   driver.z = config_.z;
-  driver.histogram = config_.histogram;
   driver.seed = config_.seed;
   driver.skip_ahead_sampling = config_.skip_ahead_sampling;
   return driver;
@@ -154,10 +155,8 @@ void StreamApprox::run(
   run_stats_ = ShardedRunStats{};
   run_stats_.workers = 1;
   // The exchange decouples workers from partitions, so any workers > 1 can
-  // shard; without it, sharding needs at least two partitions to split.
-  if (config_.workers > 1 &&
-      (config_.use_exchange ||
-       broker_.topic(config_.topic).partition_count() > 1)) {
+  // shard.
+  if (config_.workers > 1) {
     run_sharded(on_window);
   } else {
     run_sequential(on_window);

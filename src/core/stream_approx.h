@@ -11,13 +11,14 @@
 // Two execution modes share the slide lifecycle in core/pipeline_driver.h:
 //
 //   workers == 1   one thread consumes every partition and owns every
-//                  per-slide sampler (the original sequential path);
-//   workers >= 2   a consumer group splits the topic's partitions across N
-//                  worker threads, each sampling its sub-streams with LOCAL
-//                  per-slide OASRS samplers — no synchronisation during
-//                  sampling (paper §3.2 Algorithm 3) — while a merger thread
-//                  closes slides by OasrsSampler::merge()-ing worker-local
-//                  samplers once the global low-watermark passes.
+//                  per-slide sampler (the sequential path);
+//   workers >= 2   exchange threads poll the topic in batches and re-key
+//                  them by stratum hash onto N worker threads — whatever
+//                  the partition count — each sampling its strata with LOCAL
+//                  per-slide OASRS samplers and no synchronisation during
+//                  sampling (paper §3.2 Algorithm 3), while a merger closes
+//                  slides by OasrsSampler::merge()-ing worker-local samplers
+//                  once the global low-watermark passes (core/sharded.cpp).
 //
 // Dynamic query lifecycle: attach_query() / detach_query() work while the
 // pipeline is RUNNING, in both modes. Operations take effect at the next
@@ -37,17 +38,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "core/pipeline_driver.h"
 #include "core/query.h"
 #include "engine/query_cost.h"
 #include "estimation/cost_function.h"
 #include "estimation/feedback.h"
-#include "estimation/histogram_query.h"
 #include "ingest/broker.h"
 
 namespace streamapprox::core {
@@ -58,17 +56,18 @@ struct StreamApproxConfig {
   std::string topic;
   /// The registered queries, evaluated concurrently over ONE sampled stream
   /// (ingested, exchanged, sampled and windowed once; every WindowOutput
-  /// carries all of their results in `WindowOutput::queries`). When empty,
-  /// the legacy single-query fields below (`query`, `histogram`, `z`) map
-  /// onto a one-entry set for backward compatibility.
+  /// carries all of their results in `WindowOutput::queries`). May be empty:
+  /// windows are still emitted (with sampling counters and bounds only), and
+  /// queries can be attached mid-run with StreamApprox::attach_query().
   QuerySet queries;
-  /// Legacy single streaming query, used only when `queries` is empty.
-  QuerySpec query{};
-  /// The user's query budget (fraction / latency / tokens / accuracy).
+  /// The user's query budget (fraction / latency / tokens / accuracy). A
+  /// fraction must lie in (0, 1]; every budget value must be finite and
+  /// positive (checked by the StreamApprox constructor).
   estimation::QueryBudget budget = estimation::QueryBudget::fraction(0.6);
   /// Sliding-window geometry.
   engine::WindowConfig window{};
-  /// How many records to pull per consumer poll.
+  /// How many records to pull per consumer poll (sequential mode; the
+  /// sharded exchanges poll `exchange_batch_size` records at a time).
   std::size_t poll_batch = 4096;
   /// Per-record query cost model (charged against sampled items).
   engine::QueryCost query_cost{};
@@ -78,35 +77,28 @@ struct StreamApproxConfig {
   /// parallelises.
   engine::QueryCost ingest_cost{};
   /// Worker threads for the sharded execution mode. 1 (or 0) = sequential.
-  /// With the exchange enabled (the default) the worker count is
-  /// independent of the topic's partition count; with it disabled, workers
-  /// consume partitions directly and parallelism is capped at the
-  /// partition count.
+  /// The worker count is independent of the topic's partition count: the
+  /// exchange re-keys every partition's records by stratum hash onto
+  /// `workers` SPSC channels, moving data between threads batch-at-a-time.
   std::size_t workers = 1;
-  /// Repartitioning exchange (sharded mode only): when true, one exchange
-  /// stage polls every partition in batches and re-keys them by stratum
-  /// hash onto `workers` SPSC channels — decoupling worker count from
-  /// partition count and moving data between threads batch-at-a-time. When
-  /// false, the consumer-group mode splits partitions across workers.
-  bool use_exchange = true;
   /// Records per exchange batch (the morsel size of the batched data plane).
   std::size_t exchange_batch_size = 1024;
   /// Batches buffered per exchange channel before backpressure.
   std::size_t exchange_ring_capacity = 64;
-  /// Exchange shards (sharded+exchange mode): E instances each own the
-  /// topic partitions p with p % E == index and repartition them on their
-  /// own thread; the merger min-combines the per-shard watermarks. 1 (or 0)
+  /// Exchange shards (sharded mode): E instances each own the topic
+  /// partitions p with p % E == index and repartition them on their own
+  /// thread; the merger min-combines the per-shard watermarks. 1 (or 0)
   /// keeps the classic single-exchange layout.
   std::size_t exchanges = 1;
-  /// Work-stealing morsel scheduler (sharded+exchange mode): when true,
-  /// each worker transfers its channel backlog into a per-worker deque that
-  /// idle workers steal from (oldest morsel first), with a shared injector
+  /// Work-stealing morsel scheduler (sharded mode): when true, each worker
+  /// transfers its channel backlog into a per-worker deque that idle
+  /// workers steal from (oldest morsel first), with a shared injector
   /// queue for overflow — a skewed stratum mix no longer leaves workers
   /// idle. Stolen morsels are absorbed into the THIEF's local samplers,
   /// which OasrsSampler::merge() reconciles at slide close, so per-window
   /// records_seen is identical to the static schedule. When false, workers
-  /// stay statically bound to their channels (the PR 2 behaviour — also the
-  /// baseline the steal-skew benchmark measures against).
+  /// stay statically bound to their channels (the baseline the steal-skew
+  /// benchmark measures against).
   bool work_stealing = true;
   /// Morsel capacity of each worker's steal deque (rounded up to a power of
   /// two). Small values force overflow through the injector queue; the
@@ -133,13 +125,9 @@ struct StreamApproxConfig {
   /// Default confidence (in standard deviations) used when reporting error
   /// bounds and when driving the feedback loop; the paper's default is 2
   /// (95 %). Registered queries may override it per sink, so a 95 %-
-  /// confidence SUM can coexist with a 99 %-confidence MEAN.
+  /// confidence SUM can coexist with a 99 %-confidence MEAN. Must be finite
+  /// and positive.
   double z = 2.0;
-  /// Legacy optional approximate HISTOGRAM query (§3.2), used only when
-  /// `queries` is empty: when set, every window output carries a weighted
-  /// histogram of the sampled values estimating the full-population value
-  /// distribution.
-  std::optional<estimation::HistogramSpec> histogram;
   /// RNG seed.
   std::uint64_t seed = 2017;
 };
@@ -159,20 +147,19 @@ struct ShardedRunStats {
   std::uint64_t batches_absorbed = 0;
   std::uint64_t heartbeats_absorbed = 0;
   std::uint64_t records_absorbed = 0;
-  /// Skip-ahead kernel totals (exchange mode): bulk runs fed to samplers,
-  /// records accepted into reservoirs, and records skipped (arrived while
-  /// the reservoir was saturated and never written — with skip-ahead on,
-  /// never even read). accepts + skipped can trail records_absorbed when
-  /// late runs are dropped before reaching a sampler.
+  /// Skip-ahead kernel totals: bulk runs fed to samplers, records accepted
+  /// into reservoirs, and records skipped (arrived while the reservoir was
+  /// saturated and never written — with skip-ahead on, never even read).
+  /// accepts + skipped can trail records_absorbed when late runs are
+  /// dropped before reaching a sampler.
   std::uint64_t sampler_bulk_runs = 0;
   std::uint64_t sampler_accepts = 0;
   std::uint64_t sampler_skipped = 0;
-  /// Exchange routing totals (exchange mode, summed over shards): polling
-  /// rounds that routed data and records routed, plus the bulk kernel's
-  /// cost accounting — same-stratum runs walked by pass 1, StratumTable
-  /// slot probes, and pass-2 destination reserves. The kernel fields stay 0
-  /// when bulk_exchange_routing is false (or in group mode, which has no
-  /// exchange).
+  /// Exchange routing totals (summed over shards): polling rounds that
+  /// routed data and records routed, plus the bulk kernel's cost
+  /// accounting — same-stratum runs walked by pass 1, StratumTable slot
+  /// probes, and pass-2 destination reserves. The kernel fields stay 0 when
+  /// bulk_exchange_routing is false.
   std::uint64_t exchange_rounds = 0;
   std::uint64_t exchange_records_routed = 0;
   std::uint64_t exchange_runs_walked = 0;
@@ -195,7 +182,9 @@ struct ShardedRunStats {
 /// safe to read from the run thread between callbacks.
 class StreamApprox {
  public:
-  /// Binds to a broker topic. The topic must already exist.
+  /// Binds to a broker topic. The topic must already exist. Throws
+  /// std::invalid_argument for an invalid window geometry, and one naming
+  /// the field for a zero poll_batch, an out-of-range budget.value or z.
   StreamApprox(ingest::Broker& broker, StreamApproxConfig config);
 
   /// Closes the channels of pre-run attaches that never reached a driver.
@@ -264,8 +253,7 @@ class StreamApprox {
   /// Maps the facade configuration onto the slide-lifecycle driver's.
   PipelineDriverConfig driver_config() const;
 
-  /// True when `name` addresses a config-registered query, including the
-  /// legacy sinks ("query", "histogram") a legacy config synthesizes.
+  /// True when `name` addresses a config-registered query.
   bool config_has_query(const std::string& name) const;
 
   /// True when a query named `name` will be registered once the queued
@@ -297,7 +285,7 @@ class StreamApprox {
   /// Single-threaded execution: one consumer, driver-owned samplers.
   void run_sequential(const std::function<void(const WindowOutput&)>& on_window);
 
-  /// Sharded execution: partition-split workers + watermark-gated merger.
+  /// Sharded execution: exchange-fed workers + watermark-gated merger.
   void run_sharded(const std::function<void(const WindowOutput&)>& on_window);
 
   ingest::Broker& broker_;

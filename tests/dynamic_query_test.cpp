@@ -42,7 +42,7 @@ Record make_record(int i) {
 PipelineDriverConfig driver_config_1s_windows() {
   PipelineDriverConfig config;
   config.window = {1'000'000, 500'000};  // 2 slides per window
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   return config;
 }
 
@@ -245,7 +245,7 @@ std::vector<WindowOutput> run_sealed(
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   config.idle_partition_timeout_ms = 30'000;
@@ -329,7 +329,7 @@ TEST(DynamicQuery, ExchangeAttachDetachLeavesOthersEquivalent) {
   // IDENTICAL per window; estimates agree within summed 3-sigma bounds
   // (sharded sampled counts are timing-dependent — workers race the merger
   // for the atomic budget — so bit-identity is a sequential-only contract;
-  // see ParallelEquivalence.RegistrySingleQueryMatchesLegacyWhenSharded).
+  // see ParallelEquivalence.PreRunAttachMatchesConfigQueryWhenSharded).
   const auto records = gaussian_stream(4.0, 20000.0, 22);
   const auto baseline = run_sealed(records, 4, 2);
 
@@ -395,7 +395,7 @@ TEST(DynamicQuery, DetachOnlyTargetedQueryFallsBackToConfigBudget) {
         config.topic = "input";
         config.window = {1'000'000, 500'000};
         config.budget = estimation::QueryBudget::fraction(0.20);
-        config.query = {Aggregation::kMean, false};
+        config.queries.aggregate("query", {Aggregation::kMean, false});
         config.seed = 7;
         StreamApprox system(broker, config);
         std::vector<std::size_t> budgets;
@@ -457,7 +457,7 @@ TEST(DynamicQuery, AttachDuringIdlePartitionStallAppliesOnResume) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.idle_partition_timeout_ms = 100;
   StreamApprox system(broker, config);
 
@@ -508,10 +508,10 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   {
     StreamApprox system(broker, config);
-    // Legacy configs synthesize one "query" sink at driver construction;
-    // the pre-run count mirrors that.
+    // The pre-run count covers the config-registered query.
     EXPECT_EQ(system.query_count(), 1u);
     auto subscription = system.attach_query(
         std::make_unique<AggregateSink>(
@@ -523,8 +523,8 @@ TEST(DynamicQuery, PreRunControlPlaneMirrorsDriverRules) {
     EXPECT_TRUE(system.detach_query("pre"));
     EXPECT_TRUE(subscription->finished());
     EXPECT_EQ(system.query_count(), 1u);
-    // The legacy sink is addressable pre-run under its synthesized name —
-    // once: a repeat detach of an already-slated query is a no-op.
+    // The config query is addressable pre-run under its name — once: a
+    // repeat detach of an already-slated query is a no-op.
     EXPECT_TRUE(system.detach_query("query"));
     EXPECT_EQ(system.query_count(), 0u);
     EXPECT_FALSE(system.detach_query("query"));
@@ -555,7 +555,7 @@ TEST(DynamicQuery, AttachRejectsDuplicateNamesAndLeavesRegistryUnchanged) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.idle_partition_timeout_ms = 30'000;
   StreamApprox system(broker, config);
   const auto sink = [](const std::string& name) {
@@ -563,7 +563,7 @@ TEST(DynamicQuery, AttachRejectsDuplicateNamesAndLeavesRegistryUnchanged) {
         name, QuerySpec{Aggregation::kSum, false});
   };
 
-  // Pre-run: the config-synthesized "query" and a queued attach are taken.
+  // Pre-run: the config-registered "query" and a queued attach are taken.
   EXPECT_THROW(system.attach_query(sink("query")), std::invalid_argument);
   system.attach_query(sink("pre"));
   EXPECT_THROW(system.attach_query(sink("pre"), 4), std::invalid_argument);
@@ -619,7 +619,7 @@ TEST(DynamicQuery, AttachDetachStormUnderExchangeSharding) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = 4;
   config.idle_partition_timeout_ms = 30'000;
   StreamApprox system(broker, config);

@@ -78,10 +78,10 @@ TEST(WeightedHistogram, FacadeDeliversWindowHistograms) {
 
   core::StreamApproxConfig config;
   config.topic = "hist";
-  config.query = {core::Aggregation::kMean, false};
+  config.queries.aggregate("query", {core::Aggregation::kMean, false});
   config.budget = QueryBudget::fraction(0.2);
   config.window = {1'000'000, 500'000};
-  config.histogram = HistogramSpec{0.0, 100.0, 20};
+  config.queries.histogram("histogram", {0.0, 100.0, 20});
 
   core::StreamApprox system(broker, config);
   std::size_t with_histogram = 0;
@@ -105,17 +105,17 @@ TEST(WeightedHistogram, FacadeDeliversWindowHistograms) {
   EXPECT_EQ(with_histogram, windows);
 }
 
-TEST(WeightedHistogram, RegistryHistogramMatchesLegacyConfigField) {
-  // A HISTOGRAM query registered on the QuerySet and the legacy
-  // `config.histogram` field are the same sink: a seeded sequential run
-  // produces bucket-identical window histograms either way.
+TEST(WeightedHistogram, PreRunAttachedHistogramMatchesConfigRegistered) {
+  // A HISTOGRAM query registered on the config's QuerySet and the same sink
+  // attached before run() join the registry at the same boundary: a seeded
+  // sequential run produces bucket-identical window histograms either way.
   workload::SyntheticStream stream(
       {{0, workload::Gaussian{50.0, 10.0}, 20000.0},
        {1, workload::Gaussian{20.0, 5.0}, 20000.0}},
       24);
   const auto records = stream.generate(3.0);
 
-  const auto run = [&](bool via_registry) {
+  const auto run = [&](bool via_config) {
     ingest::Broker broker;
     broker.create_topic("hist", 1);
     ingest::ReplayTool replay(broker, "hist", records, {});
@@ -123,14 +123,13 @@ TEST(WeightedHistogram, RegistryHistogramMatchesLegacyConfigField) {
     config.topic = "hist";
     config.budget = QueryBudget::fraction(0.2);
     config.window = {1'000'000, 500'000};
-    if (via_registry) {
-      config.queries.aggregate("mean", {core::Aggregation::kMean, false});
-      config.queries.histogram("hist", {0.0, 100.0, 20});
-    } else {
-      config.query = {core::Aggregation::kMean, false};
-      config.histogram = HistogramSpec{0.0, 100.0, 20};
-    }
+    config.queries.aggregate("mean", {core::Aggregation::kMean, false});
+    if (via_config) config.queries.histogram("hist", {0.0, 100.0, 20});
     core::StreamApprox system(broker, config);
+    if (!via_config) {
+      system.attach_query(std::make_unique<core::HistogramSink>(
+          "hist", HistogramSpec{0.0, 100.0, 20}));
+    }
     std::vector<Histogram> histograms;
     system.run([&](const core::WindowOutput& output) {
       ASSERT_TRUE(output.histogram.has_value());
@@ -140,15 +139,16 @@ TEST(WeightedHistogram, RegistryHistogramMatchesLegacyConfigField) {
     return histograms;
   };
 
-  const auto legacy = run(false);
-  const auto registry = run(true);
-  ASSERT_GT(legacy.size(), 2u);
-  ASSERT_EQ(legacy.size(), registry.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    ASSERT_EQ(legacy[i].bucket_count(), registry[i].bucket_count());
-    EXPECT_EQ(legacy[i].total(), registry[i].total());
-    for (std::size_t k = 0; k < legacy[i].bucket_count(); ++k) {
-      EXPECT_EQ(legacy[i].bucket(k), registry[i].bucket(k)) << i << "/" << k;
+  const auto attached = run(false);
+  const auto configured = run(true);
+  ASSERT_GT(attached.size(), 2u);
+  ASSERT_EQ(attached.size(), configured.size());
+  for (std::size_t i = 0; i < attached.size(); ++i) {
+    ASSERT_EQ(attached[i].bucket_count(), configured[i].bucket_count());
+    EXPECT_EQ(attached[i].total(), configured[i].total());
+    for (std::size_t k = 0; k < attached[i].bucket_count(); ++k) {
+      EXPECT_EQ(attached[i].bucket(k), configured[i].bucket(k))
+          << i << "/" << k;
     }
   }
 }

@@ -1,5 +1,5 @@
-// Satellite acceptance test: the sharded execution mode (N partition-split
-// OASRS workers + watermark-gated merge) must be statistically equivalent to
+// Satellite acceptance test: the sharded execution mode (exchange-fed OASRS
+// workers + watermark-gated merge) must be statistically equivalent to
 // the sequential path — identical records_seen per window (no record gained
 // or lost by sharding) and estimates that agree within their error bounds.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -28,7 +29,7 @@ StreamApproxConfig base_config(std::size_t workers) {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   // These tests replay-and-seal; idleness is not under test (the dedicated
@@ -120,33 +121,6 @@ TEST(ParallelEquivalence, WorkersExceedPartitionsViaExchange) {
   }
 }
 
-TEST(ParallelEquivalence, GroupModeStillCapsWorkersAtPartitions) {
-  // With the exchange disabled, extra workers would have no partitions; the
-  // facade caps parallelism and still produces every window.
-  const auto records = make_stream(3.0, 20000.0, 10);
-  const auto sequential = run_mode(records, 1, 2);
-  const auto sharded = run_mode(
-      records, 8, 2, [](StreamApproxConfig& c) { c.use_exchange = false; });
-  ASSERT_EQ(sequential.size(), sharded.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].records_seen, sharded[i].records_seen);
-  }
-}
-
-TEST(ParallelEquivalence, GroupModeMatchesSequential) {
-  // The partition-split path (exchange off) remains equivalent too.
-  const auto records = make_stream(4.0, 24000.0, 13);
-  const auto sequential = run_mode(records, 1, 3);
-  const auto sharded = run_mode(
-      records, 4, 3, [](StreamApproxConfig& c) { c.use_exchange = false; });
-  ASSERT_GT(sequential.size(), 3u);
-  ASSERT_EQ(sequential.size(), sharded.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].records_seen, sharded[i].records_seen)
-        << "window " << i;
-  }
-}
-
 TEST(ParallelEquivalence, SinglePartitionStillShardsViaExchange) {
   // One partition used to force the sequential path; the exchange spreads
   // its strata across workers regardless.
@@ -227,15 +201,12 @@ TEST(ParallelEquivalence, IdlePartitionResumesWithoutDroppingLiveRecords) {
   // A partition that goes idle past idle_partition_timeout_ms stops gating
   // the watermark; when it later RESUMES with records at live event times
   // (at or beyond the watermark), it must re-enter the watermark and none of
-  // its live records may be dropped — in every execution mode.
+  // its live records may be dropped — in both execution modes.
   struct Mode {
     const char* name;
     std::size_t workers;
-    bool use_exchange;
   };
-  for (const Mode mode : {Mode{"sequential", 1, true},
-                          Mode{"exchange", 4, true},
-                          Mode{"group", 4, false}}) {
+  for (const Mode mode : {Mode{"sequential", 1}, Mode{"sharded", 4}}) {
     ingest::Broker broker;
     auto& topic = broker.create_topic("input", 2);
     // Phase 1: stratum 0 -> partition 0, 3000 records over [0 s, 3 s).
@@ -246,7 +217,6 @@ TEST(ParallelEquivalence, IdlePartitionResumesWithoutDroppingLiveRecords) {
     auto config = base_config(mode.workers);
     config.window = {1'000'000, 1'000'000};  // tumbling: each record counted once
     config.idle_partition_timeout_ms = 100;
-    config.use_exchange = mode.use_exchange;
     StreamApprox system(broker, config);
     std::atomic<std::size_t> windows{0};
     std::atomic<std::uint64_t> seen{0};
@@ -278,35 +248,46 @@ TEST(ParallelEquivalence, IdlePartitionResumesWithoutDroppingLiveRecords) {
   }
 }
 
-TEST(ParallelEquivalence, RegistrySingleQueryMatchesLegacyWhenSharded) {
-  // Backward compatibility on the exchange-sharded path. Sampled counts are
-  // timing-dependent in sharded mode (workers pick up the atomic budget when
-  // they first open a slide, racing the merger's re-tuning — a pre-existing
-  // property, registry or not), so the equivalence contract here is the
-  // sharded one: identical records_seen per window and estimates that agree
-  // within their error bounds. Bit-identity is asserted on the sequential
-  // path (pipeline_driver_test.RegistrySingleQueryBitIdenticalToLegacy).
+TEST(ParallelEquivalence, PreRunAttachMatchesConfigQueryWhenSharded) {
+  // A query attached before run() joins the registry before the first slide
+  // closes, so on the exchange-sharded path it must answer like the same
+  // query registered in the config. Sampled counts are timing-dependent in
+  // sharded mode (workers pick up the atomic budget when they first open a
+  // slide, racing the merger's re-tuning), so the equivalence contract here
+  // is the sharded one: identical records_seen per window and estimates that
+  // agree within their error bounds.
   const auto records = make_stream(3.0, 20000.0, 15);
-  const auto legacy = run_mode(records, 4, 2);
-  const auto registry =
-      run_mode(records, 4, 2, [](StreamApproxConfig& c) {
-        c.queries.aggregate("mean", {Aggregation::kMean, false});
-      });
-  ASSERT_GT(legacy.size(), 2u);
-  ASSERT_EQ(legacy.size(), registry.size());
+  const auto configured = run_mode(records, 4, 2);
+  std::vector<WindowOutput> attached;
+  {
+    ingest::Broker broker;
+    broker.create_topic("input", 2);
+    ingest::ReplayTool replay(broker, "input", records, {});
+    auto config = base_config(4);
+    config.queries = QuerySet{};
+    StreamApprox system(broker, config);
+    system.attach_query(std::make_unique<AggregateSink>(
+        "mean", QuerySpec{Aggregation::kMean, false}));
+    system.run(
+        [&](const WindowOutput& output) { attached.push_back(output); });
+    replay.wait();
+  }
+  ASSERT_GT(configured.size(), 2u);
+  ASSERT_EQ(configured.size(), attached.size());
   std::size_t within = 0;
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].records_seen, registry[i].records_seen);
-    EXPECT_EQ(legacy[i].estimate.window_end_us,
-              registry[i].estimate.window_end_us);
-    const auto& a = legacy[i].estimate.overall;
-    const auto& b = registry[i].estimate.overall;
+  for (std::size_t i = 0; i < configured.size(); ++i) {
+    EXPECT_EQ(configured[i].records_seen, attached[i].records_seen);
+    EXPECT_EQ(configured[i].estimate.window_end_us,
+              attached[i].estimate.window_end_us);
+    ASSERT_EQ(attached[i].queries.size(), 1u);
+    const auto& a = configured[i].estimate.overall;
+    const auto& b = attached[i].estimate.overall;
     if (std::abs(a.estimate - b.estimate) <=
         a.error_bound(3.0) + b.error_bound(3.0)) {
       ++within;
     }
   }
-  EXPECT_GE(within, legacy.size() - 1);  // slack for a tiny edge window
+  EXPECT_GE(within, configured.size() - 1);  // slack for a tiny edge window
 }
 
 TEST(ParallelEquivalence, ThreeQueriesShardedSampleTheStreamOnce) {
@@ -317,6 +298,7 @@ TEST(ParallelEquivalence, ThreeQueriesShardedSampleTheStreamOnce) {
   // windowed exactly once no matter how many queries are registered.
   const auto records = make_stream(3.0, 20000.0, 16);
   const auto register_three = [](StreamApproxConfig& c) {
+    c.queries = QuerySet{};
     c.queries.aggregate("sum by substream", {Aggregation::kSum, true});
     c.queries.aggregate("overall mean", {Aggregation::kMean, false});
     c.queries.histogram("values", {0.0, 12000.0, 24});
@@ -480,7 +462,7 @@ TEST(WorkStealing, MoreExchangesThanPartitions) {
 }
 
 TEST(WorkStealing, StaticBindingStillMatchesSequential) {
-  // work_stealing=false keeps the PR 2 static worker↔channel binding as a
+  // work_stealing=false keeps the static worker↔channel binding as a
   // supported schedule (the bench's baseline); it must stay equivalent.
   const auto records = make_hot_stream(3.0, 12000.0, 24);
   const auto sequential = run_mode(records, 1, 2);
@@ -501,6 +483,7 @@ TEST(WorkStealing, StaticBindingStillMatchesSequential) {
 // scattered the records.
 
 void register_sketch_suite(StreamApproxConfig& c) {
+  c.queries = QuerySet{};
   sketch::SketchSpec hot;
   hot.kind = sketch::SketchSpec::Kind::kCountMin;
   hot.key = sketch::SketchSpec::KeySource::kStratum;
@@ -589,16 +572,13 @@ TEST(SketchEquivalence, TwoExchangesBitIdenticalToSequential) {
   expect_identical_sketch_answers(sequential, sharded.outputs);
 }
 
-TEST(SketchEquivalence, GroupModeBitIdenticalToSequential) {
-  // The partition-split path (exchange off) absorbs whole partition batches
-  // per worker — a completely different record→worker assignment, same
-  // merged sketch state.
+TEST(SketchEquivalence, FourWorkersThreePartitionsBitIdentical) {
+  // A worker count that neither divides nor equals the partition count: the
+  // exchange spreads three partitions' strata over four workers, and the
+  // merged sketch state must still match the sequential path's.
   const auto records = make_hot_stream(3.0, 12000.0, 34);
   const auto sequential = run_mode(records, 1, 3, register_sketch_suite);
-  const auto sharded = run_mode(records, 4, 3, [](StreamApproxConfig& c) {
-    register_sketch_suite(c);
-    c.use_exchange = false;
-  });
+  const auto sharded = run_mode(records, 4, 3, register_sketch_suite);
   ASSERT_GT(sequential.size(), 2u);
   expect_identical_sketch_answers(sequential, sharded);
 }

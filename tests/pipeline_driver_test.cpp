@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "estimation/estimators.h"
@@ -19,7 +20,13 @@ using engine::Record;
 PipelineDriverConfig small_window_config() {
   PipelineDriverConfig config;
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  return config;
+}
+
+/// small_window_config() with one overall-MEAN query registered.
+PipelineDriverConfig mean_query_config() {
+  auto config = small_window_config();
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   return config;
 }
 
@@ -28,7 +35,7 @@ TEST(PipelineDriver, ColdStartPinsFirstObservedSlide) {
   // NOT sweep through millions of empty slides from zero.
   const std::int64_t epoch_us = 1'400'000'000'000'000;
   std::vector<WindowOutput> outputs;
-  PipelineDriver driver(small_window_config(),
+  PipelineDriver driver(mean_query_config(),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
   EXPECT_FALSE(driver.next_to_close().has_value());
 
@@ -48,7 +55,7 @@ TEST(PipelineDriver, ColdStartPinsFirstObservedSlide) {
 
 TEST(PipelineDriver, SequentialAdvanceClosesBehindWatermark) {
   std::vector<WindowOutput> outputs;
-  PipelineDriver driver(small_window_config(),
+  PipelineDriver driver(mean_query_config(),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
   // The caller owns the watermark: a lagging partition keeps it low.
   driver.offer(Record{1, 1.0, 10'000});  // lagging stratum, clock 10 ms
@@ -70,7 +77,7 @@ TEST(PipelineDriver, SequentialAdvanceClosesBehindWatermark) {
 }
 
 TEST(PipelineDriver, LateRecordsAreDroppedAfterClose) {
-  PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
+  PipelineDriver driver(mean_query_config(), [](const WindowOutput&) {});
   for (int i = 0; i < 5000; ++i) {
     driver.offer(Record{0, 1.0, i * 1000});
     driver.offer(Record{1, 1.0, i * 1000});
@@ -86,9 +93,9 @@ TEST(PipelineDriver, OfferBatchMatchesPerRecordOffer) {
   // is the same lifecycle: identical seeds must yield identical windows.
   std::vector<WindowOutput> by_record;
   std::vector<WindowOutput> by_batch;
-  PipelineDriver a(small_window_config(),
+  PipelineDriver a(mean_query_config(),
                    [&](const WindowOutput& o) { by_record.push_back(o); });
-  PipelineDriver b(small_window_config(),
+  PipelineDriver b(mean_query_config(),
                    [&](const WindowOutput& o) { by_batch.push_back(o); });
 
   std::vector<Record> records;
@@ -118,7 +125,7 @@ TEST(PipelineDriver, OfferBatchMatchesPerRecordOffer) {
 }
 
 TEST(PipelineDriver, OfferBatchDropsLateRuns) {
-  PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
+  PipelineDriver driver(mean_query_config(), [](const WindowOutput&) {});
   std::vector<Record> warm;
   for (int i = 0; i < 5000; ++i) warm.push_back(Record{0, 1.0, i * 1000});
   EXPECT_EQ(driver.offer_batch(warm), warm.size());
@@ -134,7 +141,7 @@ TEST(PipelineDriver, OfferBatchDropsLateRuns) {
 }
 
 TEST(PipelineDriver, CellsPathAssemblesWindows) {
-  auto config = small_window_config();
+  auto config = mean_query_config();
   config.evaluate = false;
   std::vector<engine::WindowResult> windows;
   PipelineDriver driver(
@@ -159,7 +166,7 @@ TEST(PipelineDriver, CellsPathAssemblesWindows) {
 }
 
 TEST(PipelineDriver, ExternalPathPadsGapsWithEmptySlides) {
-  auto config = small_window_config();
+  auto config = mean_query_config();
   config.evaluate = false;
   std::vector<engine::WindowResult> windows;
   PipelineDriver driver(
@@ -179,7 +186,7 @@ TEST(PipelineDriver, ExternalPathPadsGapsWithEmptySlides) {
 }
 
 TEST(PipelineDriver, ExternalPathRejectsOutOfOrderSlides) {
-  auto config = small_window_config();
+  auto config = mean_query_config();
   config.evaluate = false;
   PipelineDriver driver(std::move(config), nullptr, nullptr);
   driver.close_slide_cells(5, {});
@@ -197,7 +204,7 @@ TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
 
   std::vector<WindowOutput> sequential;
   {
-    PipelineDriver driver(small_window_config(), [&](const WindowOutput& o) {
+    PipelineDriver driver(mean_query_config(), [&](const WindowOutput& o) {
       sequential.push_back(o);
     });
     for (const auto& r : records) driver.offer(r);
@@ -207,7 +214,7 @@ TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
 
   std::vector<WindowOutput> external;
   {
-    PipelineDriver driver(small_window_config(), [&](const WindowOutput& o) {
+    PipelineDriver driver(mean_query_config(), [&](const WindowOutput& o) {
       external.push_back(o);
     });
     std::map<std::int64_t, PipelineDriver::Sampler> samplers;
@@ -236,7 +243,7 @@ TEST(PipelineDriver, SamplePathMatchesSequentialSeenCounts) {
 }
 
 TEST(PipelineDriver, FractionBudgetRetunesFromArrivals) {
-  auto config = small_window_config();
+  auto config = mean_query_config();
   config.budget = estimation::QueryBudget::fraction(0.2);
   PipelineDriver driver(std::move(config), [](const WindowOutput&) {});
   const std::size_t before = driver.current_budget();
@@ -262,11 +269,13 @@ std::vector<Record> mixed_stream(int count) {
   return records;
 }
 
-std::vector<WindowOutput> run_driver(PipelineDriverConfig config,
-                                     const std::vector<Record>& records) {
+std::vector<WindowOutput> run_driver(
+    PipelineDriverConfig config, const std::vector<Record>& records,
+    std::vector<std::unique_ptr<QuerySink>> attach_first = {}) {
   std::vector<WindowOutput> outputs;
   PipelineDriver driver(std::move(config),
                         [&](const WindowOutput& o) { outputs.push_back(o); });
+  for (auto& sink : attach_first) driver.attach_query(std::move(sink));
   driver.offer_batch(records);
   driver.advance(records.back().event_time_us);
   driver.finish();
@@ -289,24 +298,28 @@ void expect_estimates_bit_identical(const WindowEstimate& a,
   }
 }
 
-TEST(PipelineDriver, RegistrySingleQueryBitIdenticalToLegacy) {
-  // Backward compatibility (satellite acceptance): a seeded run whose single
-  // query goes through the registry must produce bit-identical WindowOutputs
-  // to the legacy single-QuerySpec config — same sampling, same estimates,
-  // same feedback-driven budget trajectory, same histogram.
+TEST(PipelineDriver, AttachBeforeFirstSlideBitIdenticalToConfigRegistry) {
+  // A query attached before the first slide closes joins the registry at
+  // that boundary, before any slide hook or window: a seeded run must
+  // produce bit-identical WindowOutputs to the same queries registered in
+  // the config — same sampling, same estimates, same feedback-driven budget
+  // trajectory, same histogram.
   const auto records = mixed_stream(30000);
 
-  auto legacy = small_window_config();
-  legacy.query = {Aggregation::kSum, /*per_stratum=*/true};
-  legacy.histogram = estimation::HistogramSpec{0.0, 8.0, 16};
-  legacy.budget = estimation::QueryBudget::relative_error(0.01);
+  auto attached = small_window_config();
+  attached.budget = estimation::QueryBudget::relative_error(0.01);
+  std::vector<std::unique_ptr<QuerySink>> sinks;
+  sinks.push_back(std::make_unique<AggregateSink>(
+      "sum", QuerySpec{Aggregation::kSum, /*per_stratum=*/true}));
+  sinks.push_back(std::make_unique<HistogramSink>(
+      "hist", estimation::HistogramSpec{0.0, 8.0, 16}));
 
   auto registry = small_window_config();
   registry.budget = estimation::QueryBudget::relative_error(0.01);
   registry.queries.aggregate("sum", {Aggregation::kSum, true});
   registry.queries.histogram("hist", {0.0, 8.0, 16});
 
-  const auto a = run_driver(std::move(legacy), records);
+  const auto a = run_driver(std::move(attached), records, std::move(sinks));
   const auto b = run_driver(std::move(registry), records);
 
   ASSERT_GT(a.size(), 3u);
@@ -441,7 +454,7 @@ TEST(PipelineDriver, HistogramOnlyRegistryStillAdaptsToAccuracyBudget) {
 }
 
 TEST(PipelineDriver, ShardedSamplerConfigSplitsBudget) {
-  PipelineDriver driver(small_window_config(), [](const WindowOutput&) {});
+  PipelineDriver driver(mean_query_config(), [](const WindowOutput&) {});
   const auto whole = driver.slide_sampler_config(7);
   const auto quarter = driver.slide_sampler_config(7, 1, 4);
   EXPECT_EQ(whole.total_budget, driver.current_budget());

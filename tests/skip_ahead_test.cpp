@@ -289,7 +289,7 @@ std::vector<core::WindowOutput> run_pipeline(
   core::StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {core::Aggregation::kMean, false};
+  config.queries.aggregate("query", {core::Aggregation::kMean, false});
   config.workers = workers;
   config.seed = 99;
   config.idle_partition_timeout_ms = 30'000;

@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ingest/replay.h"
@@ -24,7 +27,7 @@ StreamApproxConfig base_config() {
   StreamApproxConfig config;
   config.topic = "input";
   config.window = {1'000'000, 500'000};
-  config.query = {Aggregation::kMean, false};
+  config.queries.aggregate("query", {Aggregation::kMean, false});
   // Idleness is not under test here and every stream is replayed-and-sealed;
   // a generous grace keeps a starved replay thread on a loaded CI box from
   // tripping the idleness rule mid-stream.
@@ -56,6 +59,52 @@ TEST(StreamApprox, RejectsZeroPollBatchSequential) {
 
 TEST(StreamApprox, RejectsZeroPollBatchSharded) {
   expect_zero_poll_batch_rejected(2);
+}
+
+// The constructor rejects a config field with a std::invalid_argument whose
+// message names that field.
+void expect_rejected(const std::function<void(StreamApproxConfig&)>& mutate,
+                     const std::string& field) {
+  ingest::Broker broker;
+  broker.create_topic("input", 2);
+  auto config = base_config();
+  mutate(config);
+  try {
+    StreamApprox system(broker, config);
+    ADD_FAILURE() << "config with a bad " << field << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("StreamApprox: " + field),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(StreamApprox, RejectsOutOfRangeBudgetValue) {
+  using estimation::QueryBudget;
+  for (const QueryBudget budget :
+       {QueryBudget::fraction(-0.1), QueryBudget::fraction(0.0),
+        QueryBudget::fraction(1.5), QueryBudget::fraction(std::nan("")),
+        QueryBudget::latency_ms(0.0), QueryBudget::tokens(-5.0),
+        QueryBudget::relative_error(std::numeric_limits<double>::infinity())}) {
+    expect_rejected([&](StreamApproxConfig& c) { c.budget = budget; },
+                    "budget.value");
+  }
+  // A fraction of exactly 1 (sample everything) and a latency budget above
+  // 1 ms are both valid.
+  ingest::Broker broker;
+  broker.create_topic("input", 2);
+  auto config = base_config();
+  config.budget = estimation::QueryBudget::fraction(1.0);
+  EXPECT_NO_THROW(StreamApprox(broker, config));
+  config.budget = estimation::QueryBudget::latency_ms(250.0);
+  EXPECT_NO_THROW(StreamApprox(broker, config));
+}
+
+TEST(StreamApprox, RejectsNonPositiveOrNonFiniteZ) {
+  for (const double z : {-1.0, 0.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    expect_rejected([&](StreamApproxConfig& c) { c.z = z; }, "z");
+  }
 }
 
 TEST(StreamApprox, ProducesWindowsWithBounds) {
@@ -161,11 +210,13 @@ TEST(StreamApprox, MultiQueryRegistrySharesOneSampledStream) {
   };
 
   const auto multi = run([](StreamApproxConfig& config) {
+    config.queries = QuerySet{};
     config.queries.aggregate("sum by substream", {Aggregation::kSum, true});
     config.queries.aggregate("overall mean", {Aggregation::kMean, false});
     config.queries.histogram("values", {0.0, 12000.0, 24});
   });
   const auto single = run([](StreamApproxConfig& config) {
+    config.queries = QuerySet{};
     config.queries.aggregate("overall mean", {Aggregation::kMean, false});
   });
 
@@ -195,13 +246,55 @@ TEST(StreamApprox, MultiQueryRegistrySharesOneSampledStream) {
   }
 }
 
+TEST(StreamApprox, EmptyQuerySetStillEmitsWindows) {
+  // No registered query: windows still flow with their sampling counters
+  // and bounds, and the first-query mirror carries only the window bounds.
+  const auto records = make_stream(3.0, 20000.0, 7);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const auto run = [&](bool with_query) {
+      ingest::Broker broker;
+      broker.create_topic("input", 3);
+      ingest::ReplayTool replay(broker, "input", records, {});
+      auto config = base_config();
+      config.workers = workers;
+      if (!with_query) config.queries = QuerySet{};
+      StreamApprox system(broker, config);
+      EXPECT_EQ(system.query_count(), with_query ? 1u : 0u);
+      std::vector<WindowOutput> outputs;
+      system.run(
+          [&](const WindowOutput& output) { outputs.push_back(output); });
+      replay.wait();
+      return outputs;
+    };
+    const auto empty = run(false);
+    const auto reference = run(true);
+    ASSERT_GE(empty.size(), 3u) << "workers=" << workers;
+    ASSERT_EQ(empty.size(), reference.size()) << "workers=" << workers;
+    for (std::size_t i = 0; i < empty.size(); ++i) {
+      EXPECT_TRUE(empty[i].queries.empty());
+      EXPECT_FALSE(empty[i].histogram.has_value());
+      EXPECT_EQ(empty[i].estimate.overall.sample_size, 0u);
+      EXPECT_EQ(empty[i].records_seen, reference[i].records_seen)
+          << "window " << i;
+      EXPECT_GT(empty[i].records_sampled, 0u) << "window " << i;
+      EXPECT_EQ(empty[i].estimate.window_start_us,
+                reference[i].estimate.window_start_us)
+          << "window " << i;
+      EXPECT_EQ(empty[i].estimate.window_end_us,
+                reference[i].estimate.window_end_us)
+          << "window " << i;
+    }
+  }
+}
+
 TEST(StreamApprox, PerStratumQuery) {
   ingest::Broker broker;
   broker.create_topic("input", 3);
   const auto records = make_stream(3.0, 20000.0, 5);
   ingest::ReplayTool replay(broker, "input", records, {});
   auto config = base_config();
-  config.query = {Aggregation::kMean, true};
+  config.queries = QuerySet{};
+  config.queries.aggregate("query", {Aggregation::kMean, true});
   StreamApprox system(broker, config);
   std::size_t windows_with_all_groups = 0;
   std::size_t total = 0;
