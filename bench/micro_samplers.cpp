@@ -1,13 +1,14 @@
 // Sampler-kernel microbenchmarks (google-benchmark): per-item cost of each
 // sampling algorithm in isolation, plus the ablations DESIGN.md calls out
-// (Algorithm R vs Algorithm L, OASRS allocation policies, ScaSRS vs
-// Bernoulli, grouping cost of STS).
+// (Algorithm R vs the adaptive reservoir kernel, OASRS allocation policies,
+// ScaSRS vs Bernoulli, grouping cost of STS).
 //
-// Before the google-benchmark suite runs, main() measures the skip-ahead
-// kernel ablation (per-record Algorithm R / batched Algorithm R / per-record
-// skip-ahead / bulk skip-ahead kernel, each at 1% / 10% / 50% effective
-// sampling fractions) and saves it to BENCH_micro_samplers.json, so CI can
-// schema-check and archive the trajectory like the fig_* benches.
+// Before the google-benchmark suite runs, main() measures the sampling-kernel
+// ablation and saves it to BENCH_micro_samplers.json, so CI can schema-check
+// and archive the trajectory like the fig_* benches. Each row is one cell
+// (stream shape × effective sampling fraction) run by one kernel (pinned
+// Algorithm R, or the adaptive kernel OASRS runs by default) through one
+// offer path (per-record offer, or offer_run over same-stratum runs).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -37,9 +38,24 @@ std::vector<Record> bench_stream(std::size_t n) {
   return stream.generate_count(n);
 }
 
-// ---- Reservoir: Algorithm R vs Algorithm L (skip-ahead) ablation.
+// ---- Reservoir: pinned Algorithm R vs the adaptive kernel (Algorithm R
+// draws until k/seen < 1/kSkipAheadRatio, Algorithm L skips after).
 
 void BM_ReservoirAlgorithmR(benchmark::State& state) {
+  const auto records = bench_stream(1 << 16);
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    sampling::ReservoirSampler<Record> reservoir(capacity, 7,
+                                                 /*skip_ahead=*/false);
+    for (const auto& record : records) reservoir.offer(record);
+    benchmark::DoNotOptimize(reservoir.items().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_ReservoirAlgorithmR)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_ReservoirAdaptive(benchmark::State& state) {
   const auto records = bench_stream(1 << 16);
   const auto capacity = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -50,30 +66,17 @@ void BM_ReservoirAlgorithmR(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(records.size()));
 }
-BENCHMARK(BM_ReservoirAlgorithmR)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_ReservoirAdaptive)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_ReservoirAlgorithmL(benchmark::State& state) {
-  const auto records = bench_stream(1 << 16);
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sampling::FastReservoirSampler<Record> reservoir(capacity, 7);
-    for (const auto& record : records) reservoir.offer(record);
-    benchmark::DoNotOptimize(reservoir.items().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
-}
-BENCHMARK(BM_ReservoirAlgorithmL)->Arg(64)->Arg(1024)->Arg(16384);
+// The adaptive kernel's offer_run on exchange-shaped runs: in the Algorithm
+// L phase it touches only the geometric acceptance positions of each run.
 
-// The bulk-offer kernel on exchange-shaped runs: with a saturated reservoir
-// it touches only the geometric acceptance positions of each run.
-
-void BM_ReservoirBulkKernel(benchmark::State& state) {
+void BM_ReservoirAdaptiveOfferRun(benchmark::State& state) {
   const auto records = bench_stream(1 << 16);
   const auto capacity = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kRun = 1024;
   for (auto _ : state) {
-    sampling::FastReservoirSampler<Record> reservoir(capacity, 7);
+    sampling::ReservoirSampler<Record> reservoir(capacity, 7);
     for (std::size_t i = 0; i < records.size(); i += kRun) {
       reservoir.offer_run(records.data() + i,
                           std::min(kRun, records.size() - i));
@@ -83,7 +86,7 @@ void BM_ReservoirBulkKernel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(records.size()));
 }
-BENCHMARK(BM_ReservoirBulkKernel)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_ReservoirAdaptiveOfferRun)->Arg(64)->Arg(1024)->Arg(16384);
 
 // ---- OASRS end-to-end offer cost (3 strata, budget = 10% of stream).
 
@@ -193,22 +196,27 @@ BENCHMARK(BM_OasrsAllocationPolicy)
     ->Arg(static_cast<int>(sampling::AllocationPolicy::kEqual))
     ->Arg(static_cast<int>(sampling::AllocationPolicy::kProportional));
 
-// ---- Saved skip-ahead ablation: BENCH_micro_samplers.json -----------------
+// ---- Saved sampling-kernel ablation: BENCH_micro_samplers.json -----------
 
-/// Exchange-shaped workload: same-stratum chunks of `kRunLength` records
-/// rotating over `kStrata` strata — the run shape the repartitioning
-/// exchange stamps into its run descriptors.
-constexpr std::size_t kStrata = 4;
-constexpr std::size_t kRunLength = 1024;
+/// The two stream shapes of the ablation. "chunked": same-stratum runs of
+/// 1024 records rotating over 4 strata, the run shape the exchange stamps on
+/// bursty input. "interleaved": 64 strata in turn, runs of one record, the
+/// shape of record-by-record interleaved input.
+struct StreamShape {
+  const char* name;
+  std::size_t strata;
+  std::size_t run_length;
+};
+constexpr StreamShape kShapes[] = {{"chunked", 4, 1024}, {"interleaved", 64, 1}};
 
-std::vector<Record> chunked_stream(std::size_t n) {
+std::vector<Record> shaped_stream(const StreamShape& shape, std::size_t n) {
   std::vector<Record> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     records.push_back(Record{
-        static_cast<sampling::StratumId>((i / kRunLength) % kStrata),
-        static_cast<double>(i % 1000),
-        static_cast<std::int64_t>(i) * 100});
+        static_cast<sampling::StratumId>((i / shape.run_length) %
+                                         shape.strata),
+        static_cast<double>(i % 1000), static_cast<std::int64_t>(i) * 100});
   }
   return records;
 }
@@ -221,12 +229,11 @@ sampling::OasrsConfig ablation_config(std::size_t budget, bool skip_ahead) {
   return config;
 }
 
-/// One timed mode: `passes` fresh samplers over the whole stream, wall time
-/// summed across passes (one untimed warm-up first).
+/// Wall time of `passes` fresh samplers over the whole stream, summed
+/// across passes (one untimed warm-up first).
 template <typename OfferAll>
-bench::Json measure_mode(const char* mode, const std::vector<Record>& records,
-                         std::size_t budget, double fraction, int passes,
-                         bool skip_ahead, OfferAll&& offer_all) {
+double time_passes(std::size_t budget, int passes, bool skip_ahead,
+                   OfferAll&& offer_all) {
   const auto one_pass = [&] {
     auto sampler =
         sampling::make_oasrs<Record>(ablation_config(budget, skip_ahead));
@@ -237,54 +244,66 @@ bench::Json measure_mode(const char* mode, const std::vector<Record>& records,
   one_pass();  // warm-up
   Stopwatch watch;
   for (int p = 0; p < passes; ++p) one_pass();
-  const double wall = watch.seconds();
-  const double total =
-      static_cast<double>(records.size()) * static_cast<double>(passes);
-  auto run = bench::Json::object();
-  run.set("mode", mode);
-  run.set("workers", 1);
-  run.set("fraction", fraction);
-  run.set("budget", static_cast<std::uint64_t>(budget));
-  run.set("throughput", wall > 0.0 ? total / wall : 0.0);
-  run.set("wall_seconds", wall);
-  run.set("records_per_pass", static_cast<std::uint64_t>(records.size()));
-  run.set("passes", passes);
-  return run;
+  return watch.seconds();
 }
 
-/// The skip-ahead ablation: four offer paths at three effective sampling
-/// fractions. At 1% the reservoirs saturate almost immediately, which is the
-/// regime the bulk kernel's O(accepted) claim is about.
-void write_skip_ahead_json() {
+/// The sampling-kernel ablation: {pinned Algorithm R, adaptive kernel} ×
+/// {offer, offer_run} per (stream, fraction) cell. At 1% the reservoirs end
+/// far past the R → L switch (seen/k = 100); at 40–50% they never reach it.
+/// ratio_vs_algorithm_r divides a row's throughput by the Algorithm R row of
+/// the same cell and offer path.
+void write_kernel_ablation_json() {
   const std::size_t n = bench::scaled(std::size_t{1} << 20);
-  const auto records = chunked_stream(n);
   const int passes = 5;
-  const double fractions[] = {0.01, 0.10, 0.50};
+  const double fractions[] = {0.01, 0.10, 0.40, 0.50};
 
   auto runs = bench::Json::array();
-  for (const double fraction : fractions) {
-    const auto budget = static_cast<std::size_t>(
-        std::max(4.0, static_cast<double>(n) * fraction));
+  for (const StreamShape& shape : kShapes) {
+    const auto records = shaped_stream(shape, n);
     const auto per_record = [&](auto& sampler) {
       for (const auto& record : records) sampler.offer(record);
     };
-    const auto batched = [&](auto& sampler) {
-      sampler.offer_batch(records.data(), records.size());
-    };
-    const auto bulk_runs = [&](auto& sampler) {
-      for (std::size_t i = 0; i < records.size(); i += kRunLength) {
-        const std::size_t len = std::min(kRunLength, records.size() - i);
+    const auto per_run = [&](auto& sampler) {
+      for (std::size_t i = 0; i < records.size(); i += shape.run_length) {
+        const std::size_t len =
+            std::min(shape.run_length, records.size() - i);
         sampler.offer_run(records[i].stratum, records.data() + i, len);
       }
     };
-    runs.push(measure_mode("algorithm_r_offer", records, budget, fraction,
-                           passes, /*skip_ahead=*/false, per_record));
-    runs.push(measure_mode("algorithm_r_offer_batch", records, budget,
-                           fraction, passes, /*skip_ahead=*/false, batched));
-    runs.push(measure_mode("skip_ahead_offer", records, budget, fraction,
-                           passes, /*skip_ahead=*/true, per_record));
-    runs.push(measure_mode("skip_ahead_bulk_kernel", records, budget,
-                           fraction, passes, /*skip_ahead=*/true, bulk_runs));
+    for (const double fraction : fractions) {
+      const auto budget = static_cast<std::size_t>(
+          std::max(4.0, static_cast<double>(n) * fraction));
+      for (const char* path : {"offer", "offer_run"}) {
+        const bool by_run = std::string(path) == "offer_run";
+        double algorithm_r_throughput = 0.0;
+        for (const bool skip_ahead : {false, true}) {
+          const double wall =
+              by_run ? time_passes(budget, passes, skip_ahead, per_run)
+                     : time_passes(budget, passes, skip_ahead, per_record);
+          const double throughput =
+              wall > 0.0 ? static_cast<double>(n) * passes / wall : 0.0;
+          if (!skip_ahead) algorithm_r_throughput = throughput;
+          const std::string kernel = skip_ahead ? "adaptive" : "algorithm_r";
+          auto run = bench::Json::object();
+          run.set("mode", kernel + "_" + path);
+          run.set("kernel", kernel);
+          run.set("path", path);
+          run.set("stream", shape.name);
+          run.set("workers", 1);
+          run.set("fraction", fraction);
+          run.set("budget", static_cast<std::uint64_t>(budget));
+          run.set("throughput", throughput);
+          run.set("ratio_vs_algorithm_r",
+                  algorithm_r_throughput > 0.0
+                      ? throughput / algorithm_r_throughput
+                      : 0.0);
+          run.set("wall_seconds", wall);
+          run.set("records_per_pass", static_cast<std::uint64_t>(n));
+          run.set("passes", passes);
+          runs.push(std::move(run));
+        }
+      }
+    }
   }
 
   auto body = bench::Json::object();
@@ -292,20 +311,19 @@ void write_skip_ahead_json() {
   meta.set("scale", bench::bench_scale());
   meta.set("records_per_pass", static_cast<std::uint64_t>(n));
   meta.set("passes", passes);
-  meta.set("strata", static_cast<std::uint64_t>(kStrata));
-  meta.set("run_length", static_cast<std::uint64_t>(kRunLength));
+  meta.set("skip_ahead_ratio", sampling::kSkipAheadRatio);
   body.set("meta", std::move(meta));
   body.set("runs", std::move(runs));
   const std::string path = bench::write_bench_json("micro_samplers", body);
   if (!path.empty()) {
-    std::printf("skip-ahead ablation saved to %s\n", path.c_str());
+    std::printf("sampling-kernel ablation saved to %s\n", path.c_str());
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_skip_ahead_json();
+  write_kernel_ablation_json();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

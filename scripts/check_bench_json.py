@@ -78,6 +78,44 @@ def check_micro_sketches_run(path, index, run):
     return ok
 
 
+def check_micro_samplers_run(path, index, run):
+    """Sampling-kernel ablation runs name the kernel that ran, the offer
+    path, the stream shape and the sampling fraction of their cell, and
+    their throughput relative to the pinned Algorithm R row of the same
+    cell and path ('ratio_vs_algorithm_r', exactly 1 on that row)."""
+    ok = True
+    for key in ("kernel", "path", "stream", "fraction",
+                "ratio_vs_algorithm_r"):
+        if key not in run:
+            ok = fail(path, f"runs[{index}] missing key '{key}'")
+    if not ok:
+        return False
+    if run["kernel"] not in ("algorithm_r", "adaptive"):
+        ok = fail(path, f"runs[{index}].kernel = {run['kernel']!r} is not "
+                        "'algorithm_r' or 'adaptive'")
+    if run["path"] not in ("offer", "offer_run"):
+        ok = fail(path, f"runs[{index}].path = {run['path']!r} is not "
+                        "'offer' or 'offer_run'")
+    if run["mode"] != f"{run['kernel']}_{run['path']}":
+        ok = fail(path, f"runs[{index}].mode = {run['mode']!r} does not name "
+                        "its kernel and path")
+    if run["stream"] not in ("chunked", "interleaved"):
+        ok = fail(path, f"runs[{index}].stream = {run['stream']!r} is not "
+                        "'chunked' or 'interleaved'")
+    fraction = run["fraction"]
+    if not isinstance(fraction, (int, float)) or not 0 < fraction <= 1:
+        ok = fail(path, f"runs[{index}].fraction = {fraction!r} is not in "
+                        "(0, 1]")
+    ratio = run["ratio_vs_algorithm_r"]
+    if not isinstance(ratio, (int, float)) or ratio <= 0:
+        ok = fail(path, f"runs[{index}].ratio_vs_algorithm_r = {ratio!r} is "
+                        "not > 0")
+    elif run["kernel"] == "algorithm_r" and ratio != 1:
+        ok = fail(path, f"runs[{index}] Algorithm R row has "
+                        f"ratio_vs_algorithm_r = {ratio!r}, not 1")
+    return ok
+
+
 def check_count_min_guarantee(path, index, run):
     ok = True
     for key in ("overshoot_share", "delta"):
@@ -101,6 +139,7 @@ def check_count_min_guarantee(path, index, run):
 # run still passes the universal envelope checks in check_run first.
 RUN_CHECKS = {
     "micro_exchange": check_micro_exchange_run,
+    "micro_samplers": check_micro_samplers_run,
     "micro_sketches": check_micro_sketches_run,
 }
 

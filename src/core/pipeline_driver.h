@@ -168,9 +168,10 @@ struct PipelineDriverConfig {
   /// Sample budget before any arrival statistics exist; the cost function /
   /// feedback loop re-tunes it from the first completed slide on.
   std::size_t initial_budget = 1024;
-  /// Per-slide samplers use the skip-ahead kernel (Algorithm L bulk offers,
-  /// O(accepted) on saturated reservoirs). Distribution-identical to, but
-  /// not bit-identical with, the Algorithm R path that `false` restores.
+  /// Per-slide reservoirs may switch to Algorithm L skips once k/seen falls
+  /// below 1/16 (O(accepted) on heavily saturated reservoirs).
+  /// Distribution-identical to, but not bit-identical with, the pure
+  /// Algorithm R path that `false` pins.
   bool skip_ahead_sampling = true;
   /// When false, windows are reported raw (on_window) without query
   /// evaluation — the evaluation harness computes its own metrics.

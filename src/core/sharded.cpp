@@ -182,7 +182,7 @@ struct ShardedPlan {
   std::atomic<std::int64_t> closed_through{
       std::numeric_limits<std::int64_t>::min()};
   std::atomic<std::size_t> workers_done{0};
-  /// Skip-ahead kernel totals, accumulated by the merger at each slide close
+  /// Sampling-kernel totals, accumulated by the merger at each slide close
   /// (worker sampler stats ride along through OasrsSampler::merge).
   std::atomic<std::uint64_t> sampler_bulk_runs{0};
   std::atomic<std::uint64_t> sampler_accepts{0};
@@ -220,10 +220,10 @@ void apply_occupancy_locked(ShardedPlan& plan, std::size_t w, Shard& shard,
 /// same-slide records, one OASRS bulk offer per stratum run. Each slide run
 /// is intersected with the batch's stratum run descriptors (every exchange
 /// batch carries them) and fed to the sampler's offer_run fast path, which
-/// skips key extraction per record and (with skip-ahead on) never reads the
-/// records a saturated reservoir rejects. `my_strata` / `total_strata` is
-/// the stratum-occupancy stamp in force for this batch, driving the
-/// occupancy-aware budget split. `apply_stamp` is false when a thief absorbs
+/// skips key extraction per record and (in the Algorithm L phase) never
+/// reads the records a saturated reservoir rejects. `my_strata` /
+/// `total_strata` is the stratum-occupancy stamp in force for this batch,
+/// driving the occupancy-aware budget split. `apply_stamp` is false when a thief absorbs
 /// a STOLEN morsel: the victim channel's stamp describes the victim's
 /// stratum set, not the thief's, so the thief keeps its own occupancy share
 /// (records_seen is unaffected either way).

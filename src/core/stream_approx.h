@@ -104,11 +104,12 @@ struct StreamApproxConfig {
   /// two). Small values force overflow through the injector queue; the
   /// equivalence tests use that to exercise stealing deterministically.
   std::size_t steal_deque_capacity = 64;
-  /// Sample with the skip-ahead kernel (Algorithm L + bulk offers over the
-  /// exchange's stratum run descriptors): per-record cost is O(accepted /
-  /// arrived) amortised on saturated reservoirs, with identical sampling
-  /// distribution, C_i / W_i counters, watermarks and budget accounting.
-  /// false restores the bit-exact per-record Algorithm R path.
+  /// Let each reservoir switch from per-record Algorithm R draws to
+  /// Algorithm L skips once its acceptance rate k/seen falls below 1/16, so
+  /// heavily saturated reservoirs cost O(accepted) rather than O(arrived),
+  /// with identical sampling distribution, C_i / W_i counters, watermarks
+  /// and budget accounting. false pins the bit-exact per-record Algorithm R
+  /// path; the flag stays for the repository benchmark's traced replay.
   bool skip_ahead_sampling = true;
   /// Route in the exchanges with the two-pass bulk kernel (pass 1: per-run
   /// route + histogram + stratum-table occupancy; pass 2: one reserve per
@@ -147,9 +148,9 @@ struct ShardedRunStats {
   std::uint64_t batches_absorbed = 0;
   std::uint64_t heartbeats_absorbed = 0;
   std::uint64_t records_absorbed = 0;
-  /// Skip-ahead kernel totals: bulk runs fed to samplers, records accepted
-  /// into reservoirs, and records skipped (arrived while the reservoir was
-  /// saturated and never written — with skip-ahead on, never even read).
+  /// Sampling-kernel totals: runs fed to samplers, records accepted into
+  /// reservoirs, and records skipped (arrived while the reservoir was
+  /// saturated and never written — in the Algorithm L phase, never read).
   /// accepts + skipped can trail records_absorbed when late runs are
   /// dropped before reaching a sampler.
   std::uint64_t sampler_bulk_runs = 0;

@@ -1,7 +1,6 @@
 #include "sketch/sketch_query.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace streamapprox::sketch {
 namespace {
@@ -36,7 +35,7 @@ void for_each_key_run(const SketchSpec& spec, const engine::Record* records,
   if (spec.key == SketchSpec::KeySource::kValueInt) {
     for_each_run(records, n,
                  [](const engine::Record& r) {
-                   return static_cast<std::uint64_t>(std::llround(r.value));
+                   return value_int_key(r.value);
                  },
                  fn);
   } else {
@@ -60,6 +59,7 @@ SlideSketchState SlideSketchState::make(const SketchSpec& spec) {
       break;
     case SketchSpec::Kind::kHyperLogLog:
       state.hll = HyperLogLog::for_error(spec.epsilon, spec.seed);
+      state.hll_added.emplace();
       break;
     case SketchSpec::Kind::kQuantile:
       state.quantile = QuantileSketch(spec.epsilon);
@@ -80,9 +80,30 @@ void SlideSketchState::absorb(const engine::Record* records, std::size_t n) {
       break;
     case SketchSpec::Kind::kHyperLogLog:
       // Adding a key twice leaves the registers unchanged, so a run needs
-      // one add.
-      for_each_key_run(spec, records, n,
-                       [&](std::uint64_t key, std::size_t) { hll->add(key); });
+      // one add (a run split across chunks gets two), and a key the filter
+      // remembers needs none.
+      for (std::size_t at = 0; at < n; at += AddedKeyFilter::kChunk) {
+        const std::size_t len = std::min(AddedKeyFilter::kChunk, n - at);
+        if (!hll_added->consult()) {
+          for_each_key_run(spec, records + at, len,
+                           [&](std::uint64_t key, std::size_t) {
+                             hll->add(key);
+                           });
+          continue;
+        }
+        std::size_t hits = 0;
+        std::size_t runs = 0;
+        for_each_key_run(spec, records + at, len,
+                         [&](std::uint64_t key, std::size_t) {
+                           ++runs;
+                           if (hll_added->test_and_insert(key)) {
+                             ++hits;
+                           } else {
+                             hll->add(key);
+                           }
+                         });
+        hll_added->observe(hits, runs);
+      }
       break;
     case SketchSpec::Kind::kQuantile:
       for (std::size_t i = 0; i < n; ++i) {

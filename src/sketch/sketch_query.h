@@ -11,6 +11,7 @@
 // bit-identical between the sequential, sharded and work-stealing runtimes.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,7 +36,8 @@ struct SketchSpec {
   /// value and ignore this field.
   enum class KeySource : std::uint8_t {
     kStratum,   ///< the record's stratum id (flow, protocol, borough)
-    kValueInt,  ///< llround(record.value) — e.g. distinct observed sizes
+    kValueInt,  ///< llround(record.value) (value_int_key) — e.g. distinct
+                ///< observed sizes
   };
 
   Kind kind = Kind::kCountMin;
@@ -53,6 +55,81 @@ struct SketchSpec {
   /// Driver-assigned identity (0 = unregistered).
   std::uint64_t id = 0;
 };
+
+/// The kValueInt key of a value: static_cast<uint64_t>(std::llround(value)),
+/// computed inline for |value| < 2^62. There the truncation t is exact and
+/// so is value − t, so stepping t by ±1 when that remainder reaches 0.5 in
+/// magnitude is exactly llround's round-half-away-from-zero. Larger
+/// magnitudes, infinities and NaN keep the libm call, whose out-of-range
+/// result is implementation-defined.
+inline std::uint64_t value_int_key(double value) noexcept {
+  if (!(std::abs(value) < 0x1p62)) {
+    return static_cast<std::uint64_t>(std::llround(value));
+  }
+  auto key = static_cast<std::int64_t>(value);
+  const double rest = value - static_cast<double>(key);
+  if (rest >= 0.5) ++key;
+  if (rest <= -0.5) --key;
+  return static_cast<std::uint64_t>(key);
+}
+
+/// Direct-mapped memo of keys a HyperLogLog already holds, so a repeat key
+/// skips the hash and register update. HyperLogLog::add is an idempotent
+/// register max, and merges only raise registers, so skipping a key the
+/// memo names leaves the registers exactly as adding it would. Every slot
+/// starts with a key that hashes to another slot, so no key — 0 and
+/// 2^64 − 1 included — can match a slot it was never stored in.
+///
+/// The memo pays only when most lookups hit. On a key universe much larger
+/// than its 256 slots each miss adds a lookup and a store to the add, and a
+/// mix of hits and misses mispredicts the branch. So the state digests in
+/// chunks of kChunk records, and after a chunk whose runs hit less than 3/4
+/// of the time the next kRestChunks chunks add directly. Skipped keys leave
+/// the memo stale but sound: every key it names was added, and registers
+/// only grow.
+class AddedKeyFilter {
+ public:
+  static constexpr int kSlotBits = 8;
+  static constexpr std::size_t kChunk = 256;
+  static constexpr int kRestChunks = 15;
+
+  AddedKeyFilter() : keys_(std::size_t{1} << kSlotBits, 0) {
+    keys_[slot(0)] = 1;
+  }
+
+  /// Slot of `key` (Fibonacci hashing: the top kSlotBits of key·2^64/φ).
+  static constexpr std::size_t slot(std::uint64_t key) noexcept {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - kSlotBits));
+  }
+
+  /// True when `key` was inserted and not evicted since; otherwise stores it
+  /// in its slot (evicting the previous key) and returns false.
+  bool test_and_insert(std::uint64_t key) noexcept {
+    std::uint64_t& cell = keys_[slot(key)];
+    if (cell == key) return true;
+    cell = key;
+    return false;
+  }
+
+  /// Whether the next chunk should consult the memo (false while it rests).
+  bool consult() noexcept {
+    if (rest_ == 0) return true;
+    --rest_;
+    return false;
+  }
+
+  /// Closes a consulted chunk with its hit and lookup counts.
+  void observe(std::size_t hits, std::size_t lookups) noexcept {
+    if (hits * 4 < lookups * 3) rest_ = kRestChunks;
+  }
+
+ private:
+  std::vector<std::uint64_t> keys_;
+  int rest_ = 0;
+};
+static_assert(AddedKeyFilter::slot(0) != AddedKeyFilter::slot(1),
+              "an empty slot's key must hash to another slot");
 
 /// One window's evaluated sketch answer (the payload on QueryOutput).
 /// Equality is exact — the sharded-equivalence tests compare these
@@ -88,6 +165,8 @@ struct SlideSketchState {
   std::optional<CountMinSketch> count_min;
   std::unordered_set<std::uint64_t> candidates;
   std::optional<HyperLogLog> hll;
+  /// Keys already added to `hll` (HyperLogLog specs only).
+  std::optional<AddedKeyFilter> hll_added;
   std::optional<QuantileSketch> quantile;
 
   /// Fresh empty state provisioned for the spec.

@@ -1,6 +1,7 @@
 #include "sketch/sketches.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -17,6 +18,27 @@ constexpr double kEulersNumber = 2.718281828459045;
 std::uint64_t fold(std::uint64_t acc, std::uint64_t tag,
                    std::uint64_t value) noexcept {
   return acc + mix64(tag * 0x9ddfea08eb382d69ULL + value);
+}
+
+// The quantile bucket index reads log2 of a magnitude from its exponent bits
+// plus log2(1 + f) for the mantissa fraction f, interpolated linearly in a
+// table of log2(1 + i/1024). The interpolation error of a concave function
+// on steps of h is at most h²·max|f''|/8 = 2^-20 / (8 ln 2) ≈ 1.72e-7; the
+// table's rounding, the exponent sum and both formulas' libm and division
+// roundings add under 1e-12 more. kLog2ErrorBound covers all of it.
+constexpr int kMantissaTableBits = 10;
+constexpr double kLog2ErrorBound = 2.0e-7;
+
+const std::array<double, (1u << kMantissaTableBits) + 1>& log2_table() {
+  static const auto table = [] {
+    std::array<double, (1u << kMantissaTableBits) + 1> t{};
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = std::log2(1.0 + std::ldexp(static_cast<double>(i),
+                                        -kMantissaTableBits));
+    }
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace
@@ -229,6 +251,8 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
   }
   gamma_ = (1.0 + alpha) / (1.0 - alpha);
   log_gamma_ = std::log(gamma_);
+  index_scale_ = std::log(2.0) / log_gamma_;
+  index_band_ = kLog2ErrorBound * index_scale_;
   // bucket_index is monotone in the magnitude, so these bound every index
   // update() can produce.
   min_index_ = bucket_index(1e-12);
@@ -236,6 +260,38 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
 }
 
 std::int32_t QuantileSketch::bucket_index(double magnitude) const {
+  // The index is defined as ⌈ln m / ln γ⌉. The estimate x = log2(m) / log2(γ)
+  // is within index_band_ of that quotient (and of its computed value), so
+  // an x farther than the band from every integer has the same ceiling. The
+  // rest, and every α so small that the band reaches half a bucket, take
+  // the libm formula itself. The magnitude is a positive normal double, so
+  // its exponent field is its binary exponent plus 1023.
+  if (index_band_ < 0.5) {
+    const auto bits = std::bit_cast<std::uint64_t>(magnitude);
+    const int exponent = static_cast<int>(bits >> 52) - 1023;
+    const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+    constexpr int kFractionBits = 52 - kMantissaTableBits;
+    const auto slot = static_cast<std::size_t>(mantissa >> kFractionBits);
+    constexpr double kFractionScale =
+        1.0 / static_cast<double>(std::uint64_t{1} << kFractionBits);
+    const double fraction =
+        static_cast<double>(mantissa &
+                            ((std::uint64_t{1} << kFractionBits) - 1)) *
+        kFractionScale;
+    const auto& table = log2_table();
+    const double log2_mantissa =
+        table[slot] + fraction * (table[slot + 1] - table[slot]);
+    const double x =
+        (static_cast<double>(exponent) + log2_mantissa) * index_scale_;
+    // |x| ≤ 1100 · index_scale_ < 2^32 here, so the int64 conversion is
+    // defined.
+    auto floor_x = static_cast<std::int64_t>(x);
+    if (x < static_cast<double>(floor_x)) --floor_x;
+    const double rest = x - static_cast<double>(floor_x);
+    if (rest > index_band_ && rest < 1.0 - index_band_) {
+      return static_cast<std::int32_t>(floor_x + 1);
+    }
+  }
   return static_cast<std::int32_t>(
       std::ceil(std::log(magnitude) / log_gamma_));
 }

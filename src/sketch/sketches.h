@@ -156,6 +156,12 @@ class QuantileSketch {
   /// Bucket-count addition. Throws std::invalid_argument on α mismatch.
   void merge(const QuantileSketch& other);
 
+  /// The bucket ⌈ln m / ln γ⌉ of a magnitude m in [1e-12, DBL_MAX] —
+  /// bit-identical to that libm formula, but computed from the exponent
+  /// bits and a log2 table; only magnitudes within a proven error band of a
+  /// bucket boundary pay for the std::log call.
+  std::int32_t bucket_index(double magnitude) const;
+
   std::uint64_t digest() const noexcept;
 
   friend bool operator==(const QuantileSketch&,
@@ -182,13 +188,14 @@ class QuantileSketch {
     bool operator==(const BucketStore& other) const noexcept;
   };
 
-  std::int32_t bucket_index(double magnitude) const;
   double representative(std::int32_t index) const;
   void add(BucketStore& store, std::int32_t index);
 
   double alpha_ = 0.0;
   double gamma_ = 0.0;
   double log_gamma_ = 0.0;
+  double index_scale_ = 0.0;  // ln 2 / ln γ: bucket units per doubling
+  double index_band_ = 0.0;   // error bound of the fast index, in buckets
   std::int32_t min_index_ = 0;  // bucket of magnitude 1e-12
   std::int32_t max_index_ = 0;  // bucket of magnitude DBL_MAX
   std::uint64_t count_ = 0;

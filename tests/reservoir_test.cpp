@@ -1,6 +1,6 @@
-// Tests for Algorithm R (paper Algorithm 1) and Algorithm L reservoirs:
-// size bounds, counters, Eq. 1 weights, selection uniformity (chi-square),
-// distributed merge.
+// Tests for the reservoir kernel (paper Algorithm 1: Algorithm R draws, then
+// Algorithm L skips): size bounds, counters, Eq. 1 weights, selection
+// uniformity (chi-square), distributed merge.
 #include "sampling/reservoir.h"
 
 #include <gtest/gtest.h>
@@ -170,28 +170,32 @@ TEST(ReservoirMerge, MergedSelectionIsUniform) {
   EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
 }
 
-TEST(FastReservoir, SizeAndCounter) {
-  FastReservoirSampler<int> reservoir(16, 14);
+// The adaptive kernel below runs Algorithm R draws while k/seen ≥
+// 1/kSkipAheadRatio and Algorithm L skips after; every stream here is long
+// enough to cross that switch.
+TEST(ReservoirKernel, SizeAndCounterAcrossTheSwitch) {
+  ReservoirSampler<int> reservoir(16, 14);
   for (int i = 0; i < 5000; ++i) reservoir.offer(i);
   EXPECT_EQ(reservoir.items().size(), 16u);
   EXPECT_EQ(reservoir.seen(), 5000u);
   EXPECT_DOUBLE_EQ(reservoir.weight(), 5000.0 / 16.0);
 }
 
-TEST(FastReservoir, UnderFilledKeepsAll) {
-  FastReservoirSampler<int> reservoir(100, 15);
+TEST(ReservoirKernel, UnderFilledKeepsAll) {
+  ReservoirSampler<int> reservoir(100, 15);
   for (int i = 0; i < 30; ++i) reservoir.offer(i);
   EXPECT_EQ(reservoir.items().size(), 30u);
   EXPECT_DOUBLE_EQ(reservoir.weight(), 1.0);
 }
 
-TEST(FastReservoir, SelectionIsUniform) {
+TEST(ReservoirKernel, SelectionIsUniformAcrossTheSwitch) {
   constexpr int kStream = 100;
-  constexpr int kCapacity = 10;
+  constexpr int kCapacity = 4;  // switches to Algorithm L at position 64
   constexpr int kTrials = 20000;
+  static_assert(kCapacity * kSkipAheadRatio < kStream);
   std::vector<double> hits(kStream, 0.0);
   for (int t = 0; t < kTrials; ++t) {
-    FastReservoirSampler<int> reservoir(kCapacity, 4000 + t);
+    ReservoirSampler<int> reservoir(kCapacity, 4000 + t);
     for (int i = 0; i < kStream; ++i) reservoir.offer(i);
     for (int item : reservoir.items()) hits[item] += 1.0;
   }
@@ -200,9 +204,9 @@ TEST(FastReservoir, SelectionIsUniform) {
   EXPECT_LT(streamapprox::chi_square(hits, expected), 148.2);
 }
 
-TEST(FastReservoir, ResetRestartsCleanly) {
-  FastReservoirSampler<int> reservoir(8, 16);
-  for (int i = 0; i < 100; ++i) reservoir.offer(i);
+TEST(ReservoirKernel, ResetRestartsCleanly) {
+  ReservoirSampler<int> reservoir(8, 16);
+  for (int i = 0; i < 1000; ++i) reservoir.offer(i);
   reservoir.reset();
   EXPECT_EQ(reservoir.seen(), 0u);
   for (int i = 0; i < 8; ++i) reservoir.offer(i);
@@ -210,31 +214,33 @@ TEST(FastReservoir, ResetRestartsCleanly) {
   EXPECT_DOUBLE_EQ(reservoir.weight(), 1.0);
 }
 
-// Algorithm R and Algorithm L draw statistically identical samples: compare
-// their selection frequencies on the same stream with the two-sample
-// chi-square statistic sum (O_l - O_r)^2 / (O_l + O_r), which is chi-square
-// with dof = positions - 1 when both samplers share one distribution.
-TEST(FastReservoir, MatchesAlgorithmRDistribution) {
+// The adaptive kernel and pure Algorithm R (skip_ahead = false) draw
+// statistically identical samples: compare their selection frequencies on
+// the same stream with the two-sample chi-square statistic
+// sum (O_a - O_r)^2 / (O_a + O_r), which is chi-square with dof =
+// positions - 1 when both samplers share one distribution.
+TEST(ReservoirKernel, MatchesAlgorithmRDistribution) {
   constexpr int kStream = 60;
-  constexpr int kCapacity = 6;
+  constexpr int kCapacity = 2;  // switches to Algorithm L at position 32
   constexpr int kTrials = 30000;
+  static_assert(kCapacity * kSkipAheadRatio < kStream);
   std::vector<double> hits_r(kStream, 0.0);
-  std::vector<double> hits_l(kStream, 0.0);
+  std::vector<double> hits_a(kStream, 0.0);
   for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler<int> r(kCapacity, 5000 + t);
-    FastReservoirSampler<int> l(kCapacity, 90000 + t);
+    ReservoirSampler<int> r(kCapacity, 5000 + t, /*skip_ahead=*/false);
+    ReservoirSampler<int> a(kCapacity, 90000 + t);
     for (int i = 0; i < kStream; ++i) {
       r.offer(i);
-      l.offer(i);
+      a.offer(i);
     }
     for (int item : r.items()) hits_r[item] += 1.0;
-    for (int item : l.items()) hits_l[item] += 1.0;
+    for (int item : a.items()) hits_a[item] += 1.0;
   }
   double two_sample = 0.0;
   for (int i = 0; i < kStream; ++i) {
-    const double total = hits_l[i] + hits_r[i];
+    const double total = hits_a[i] + hits_r[i];
     if (total <= 0.0) continue;
-    const double diff = hits_l[i] - hits_r[i];
+    const double diff = hits_a[i] - hits_r[i];
     two_sample += diff * diff / total;
   }
   // 59 dof, alpha=0.001 critical ~98.3.

@@ -494,6 +494,51 @@ TEST(SketchOracle, NonFiniteQuantileInputs) {
   EXPECT_EQ(with_inf, with_max);
 }
 
+// ---- Quantile bucket index: table + guard band vs the libm formula
+
+std::int32_t libm_bucket(double magnitude, double alpha) {
+  const double log_gamma = std::log((1.0 + alpha) / (1.0 - alpha));
+  return static_cast<std::int32_t>(std::ceil(std::log(magnitude) / log_gamma));
+}
+
+// Every bucket boundary γ^k in the sketch's range, and its ±1 ulp
+// neighbours, lands in the bucket the libm formula names — the values where
+// a fast estimate is most likely to round to the wrong side.
+TEST(SketchOracle, BucketIndexMatchesLibmFormulaAtEveryBoundary) {
+  for (const double alpha : {1e-4, 0.001, 0.01, 0.05, 0.2, 0.5}) {
+    const QuantileSketch sketch(alpha);
+    const double gamma = (1.0 + alpha) / (1.0 - alpha);
+    const auto lo = libm_bucket(1e-12, alpha);
+    const auto hi = libm_bucket(DBL_MAX, alpha);
+    std::size_t mismatches = 0;
+    const auto check = [&](double magnitude) {
+      if (!(magnitude >= 1e-12 && magnitude <= DBL_MAX)) return;
+      if (sketch.bucket_index(magnitude) != libm_bucket(magnitude, alpha)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "alpha " << alpha << " magnitude "
+                        << std::hexfloat << magnitude;
+        }
+      }
+    };
+    for (std::int32_t k = lo; k <= hi; ++k) {
+      const double boundary = std::pow(gamma, static_cast<double>(k));
+      check(boundary);
+      check(std::nextafter(boundary, 0.0));
+      check(std::nextafter(boundary, DBL_MAX));
+    }
+    for (const double edge : {1e-12, std::nextafter(1e-12, 1.0), 1.0,
+                              std::nextafter(1.0, 0.0), DBL_MAX,
+                              std::nextafter(DBL_MAX, 0.0)}) {
+      check(edge);
+    }
+    Rng rng(17);
+    for (int i = 0; i < 200'000; ++i) {
+      check(std::exp(rng.uniform() * (709.0 + 27.6) - 27.6));
+    }
+    EXPECT_EQ(mismatches, 0u) << "alpha " << alpha;
+  }
+}
+
 // ---- Count-Min / HyperLogLog run-at-a-time digests
 
 using engine::Record;
@@ -658,6 +703,123 @@ TEST(SketchOracle, RunAtATimeDigestsMatchPerRecordDigest) {
         }
       }
     }
+  }
+}
+
+// The inline kValueInt key is llround's round-half-away-from-zero at every
+// value where a truncate-and-step scheme could slip: halves, the doubles
+// just below them, the 2^52 and 2^53 spacing changes, the 2^62 cut-over to
+// the libm call, −1 (key 2^64 − 1) and the non-finite inputs.
+TEST(SketchOracle, ValueIntKeyMatchesLlround) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                -1.0,
+                                std::nextafter(0.5, 0.0),
+                                -std::nextafter(0.5, 0.0),
+                                0x1p52 - 0.5,
+                                0x1p52 + 0.5,
+                                0x1p52 - 1.5,
+                                -(0x1p52 - 0.5),
+                                0x1p53 + 2.0,
+                                std::nextafter(0x1p62, 0.0),
+                                0x1p62,
+                                std::nextafter(0x1p62, DBL_MAX),
+                                -std::nextafter(0x1p62, 0.0),
+                                -0x1p62,
+                                -std::nextafter(0x1p62, DBL_MAX),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  for (int k = 0; k <= 1000; ++k) {
+    const double half = k + 0.5;
+    for (const double v : {half, std::nextafter(half, 0.0),
+                           std::nextafter(half, DBL_MAX)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  Rng rng(31);
+  for (int i = 0; i < 100'000; ++i) {
+    const double magnitude = std::exp(rng.uniform() * 45.0 - 3.0);
+    values.push_back(rng.uniform() < 0.5 ? -magnitude : magnitude);
+  }
+  for (const double v : values) {
+    EXPECT_EQ(value_int_key(v), static_cast<std::uint64_t>(std::llround(v)))
+        << std::hexfloat << v;
+  }
+  EXPECT_EQ(value_int_key(-1.0), std::numeric_limits<std::uint64_t>::max());
+}
+
+// The added-key filter's empty slots match no key (0, 1 and 2^64 − 1
+// included), a stored key hits, and a colliding key evicts it.
+TEST(SketchOracle, AddedKeyFilterEmptySlotsMatchNothing) {
+  AddedKeyFilter filter;
+  const std::uint64_t max_key = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t key : {std::uint64_t{0}, std::uint64_t{1},
+                                  max_key}) {
+    EXPECT_FALSE(filter.test_and_insert(key)) << key;
+    EXPECT_TRUE(filter.test_and_insert(key)) << key;
+  }
+  std::uint64_t other = 6;
+  while (AddedKeyFilter::slot(other) != AddedKeyFilter::slot(5)) ++other;
+  EXPECT_FALSE(filter.test_and_insert(5));
+  EXPECT_FALSE(filter.test_and_insert(other));  // evicts 5
+  EXPECT_FALSE(filter.test_and_insert(5));
+  EXPECT_TRUE(filter.test_and_insert(5));
+}
+
+// HyperLogLog registers behind the filter equal the per-record reference
+// (one add per record, no filter) on value keys that include 0, 1,
+// 2^64 − 1 (value −1) and pairs of keys that keep evicting each other.
+TEST(SketchOracle, FilteredHyperLogLogMatchesPerRecordAdds) {
+  std::vector<std::uint64_t> colliding = {5};
+  for (std::uint64_t key = 6; colliding.size() < 4; ++key) {
+    if (AddedKeyFilter::slot(key) == AddedKeyFilter::slot(5)) {
+      colliding.push_back(key);
+    }
+  }
+  Rng rng(77);
+  std::vector<Record> records;
+  for (std::int64_t t = 0; t < 20'000; ++t) {
+    double value = 0.0;
+    switch (rng.uniform_int(4)) {
+      case 0:
+        value = static_cast<double>(colliding[rng.uniform_int(4)]);
+        break;
+      case 1: value = -1.0 + 0.4 * (rng.uniform() - 0.5); break;
+      case 2: value = static_cast<double>(rng.uniform_int(3)); break;
+      default: value = rng.gaussian(0.0, 5000.0); break;
+    }
+    records.push_back(Record{0, value, t});
+  }
+  SketchSpec spec;
+  spec.kind = SketchSpec::Kind::kHyperLogLog;
+  spec.key = SketchSpec::KeySource::kValueInt;
+  spec.epsilon = 0.02;
+  spec.id = 1;
+  const SlideSketchState reference = reference_state(spec, records);
+  SketchPlan plan;
+  plan.specs.push_back(spec);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  records.size()}) {
+    SlideSketches sketches(plan);
+    for (std::size_t offset = 0; offset < records.size(); offset += batch) {
+      sketches.absorb(records.data() + offset,
+                      std::min(batch, records.size() - offset));
+    }
+    const SlideSketchState* state = sketches.find(1);
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(state->hll, reference.hll) << "batch " << batch;
+    EXPECT_EQ(state->hll->digest(), reference.hll->digest())
+        << "batch " << batch;
+  }
+  // A fresh filter must not swallow the first 0, 1 or 2^64 − 1 it sees.
+  for (const double value : {0.0, 1.0, -1.0}) {
+    const std::vector<Record> one = {Record{0, value, 0}};
+    SlideSketches sketches(plan);
+    sketches.absorb(one.data(), one.size());
+    EXPECT_EQ(sketches.find(1)->hll, reference_state(spec, one).hll)
+        << "value " << value;
   }
 }
 

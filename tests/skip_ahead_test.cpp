@@ -1,9 +1,12 @@
-// Tests for the skip-ahead sampling kernel (PR 7): statistical equivalence
-// of the bulk offer path with per-record Algorithm R (every stream position
-// sampled with probability N/i), exact re-priming after shrink, bit-exact
-// bookkeeping (seen / weight / per-window records_seen) against the
-// Algorithm R escape hatch, and the ShardedRunStats kernel counters on the
-// forced-steal sharded path.
+// Tests for the adaptive reservoir kernel: Algorithm R draws while the
+// acceptance rate k/seen is at least 1/kSkipAheadRatio, Algorithm L skips
+// after. Bit-exact parity of the bulk offer path with per-record offers
+// across the R → L switch, inclusion uniformity (every stream position
+// sampled with probability k/n) before, at and after the switch and after a
+// shrink / merge / take there, a bit-identical skip_ahead = false path
+// against a reference Algorithm R kept here, bit-exact bookkeeping (seen /
+// weight / per-window records_seen) against that path, and the
+// ShardedRunStats kernel counters on the forced-steal sharded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/stats.h"
 #include "core/stream_approx.h"
 #include "ingest/replay.h"
@@ -21,24 +25,133 @@
 namespace streamapprox {
 namespace {
 
-using sampling::FastReservoirSampler;
+using sampling::kSkipAheadRatio;
 using sampling::ReservoirSampler;
 
-// The per-record offer() and the bulk offer_run() walk the identical
-// (prime, accept-slot, advance) RNG sequence — skipped records draw nothing
-// either way — so chunked bulk offers are BIT-identical to per-record
-// offers, not merely distribution-identical.
-TEST(SkipAheadKernel, OfferRunMatchesPerRecordOffer) {
-  constexpr std::size_t kCapacity = 32;
-  constexpr int kStream = 5000;
-  std::vector<int> stream(kStream);
-  for (int i = 0; i < kStream; ++i) stream[i] = i;
+/// Vitter's Algorithm R exactly as the library ran it before the adaptive
+/// kernel: one uniform_int(seen) per saturated offer, and the same shrink
+/// and merge draws. skip_ahead = false must match it bit for bit.
+template <typename T>
+class ReferenceAlgorithmR {
+ public:
+  ReferenceAlgorithmR(std::size_t capacity, std::uint64_t seed)
+      : capacity_(capacity), rng_(seed) {}
 
-  FastReservoirSampler<int> per_record(kCapacity, 77);
-  FastReservoirSampler<int> bulk(kCapacity, 77);
+  void offer(const T& item) {
+    ++seen_;
+    if (items_.size() < capacity_) {
+      items_.push_back(item);
+      return;
+    }
+    if (capacity_ == 0) return;
+    const std::uint64_t j = rng_.uniform_int(seen_);
+    if (j < capacity_) items_[j] = item;
+  }
+
+  void shrink_capacity(std::size_t new_capacity) {
+    if (new_capacity >= capacity_) return;
+    capacity_ = new_capacity;
+    while (items_.size() > capacity_) {
+      const std::uint64_t idx = rng_.uniform_int(items_.size());
+      items_[idx] = std::move(items_.back());
+      items_.pop_back();
+    }
+  }
+
+  void merge_from(std::vector<T> theirs, std::uint64_t their_seen) {
+    if (their_seen == 0) return;
+    if (seen_ == 0) {
+      items_ = std::move(theirs);
+      seen_ = their_seen;
+      return;
+    }
+    std::vector<T> mine = std::move(items_);
+    const double share_mine = static_cast<double>(seen_) /
+                              static_cast<double>(seen_ + their_seen);
+    std::vector<T> merged;
+    const std::size_t target =
+        std::min(capacity_, mine.size() + theirs.size());
+    while (merged.size() < target && (!mine.empty() || !theirs.empty())) {
+      const bool pick_mine =
+          !mine.empty() && (theirs.empty() || rng_.uniform() < share_mine);
+      auto& source = pick_mine ? mine : theirs;
+      const std::uint64_t idx = rng_.uniform_int(source.size());
+      merged.push_back(std::move(source[idx]));
+      source[idx] = std::move(source.back());
+      source.pop_back();
+    }
+    items_ = std::move(merged);
+    seen_ += their_seen;
+  }
+
+  void reset(std::size_t new_capacity) {
+    capacity_ = new_capacity;
+    items_.clear();
+    seen_ = 0;
+  }
+
+  std::uint64_t seen() const { return seen_; }
+  const std::vector<T>& items() const { return items_; }
+
+ private:
+  std::size_t capacity_;
+  std::vector<T> items_;
+  std::uint64_t seen_ = 0;
+  Rng rng_;
+};
+
+std::vector<int> iota_stream(int n) {
+  std::vector<int> stream(n);
+  for (int i = 0; i < n; ++i) stream[i] = i;
+  return stream;
+}
+
+/// Offers stream[from, to) through offer_run in chunks of 1 to max_chunk.
+void offer_in_chunks(ReservoirSampler<int>& reservoir,
+                     const std::vector<int>& stream, std::size_t from,
+                     std::size_t to, Rng& rng, std::size_t max_chunk = 97) {
+  while (from < to) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng.uniform_int(max_chunk), to - from);
+    reservoir.offer_run(stream.data() + from, n);
+    from += n;
+  }
+}
+
+/// Chi-square of per-position inclusion counts against the uniform law
+/// (every position sampled trials·k/n times in expectation), over 100
+/// near-equal buckets of positions: 99 dof, alpha = 0.001 critical ~148.2.
+double inclusion_chi_square(const std::vector<double>& hits, int trials,
+                            std::size_t capacity) {
+  constexpr std::size_t kBuckets = 100;
+  const std::size_t n = hits.size();
+  std::vector<double> observed(kBuckets, 0.0);
+  std::vector<double> expected(kBuckets, 0.0);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::size_t bucket = pos * kBuckets / n;
+    observed[bucket] += hits[pos];
+    expected[bucket] += static_cast<double>(trials) *
+                        static_cast<double>(capacity) /
+                        static_cast<double>(n);
+  }
+  return chi_square(observed, expected);
+}
+constexpr double kChiSquareCritical = 148.2;
+
+// The per-record offer() and the bulk offer_run() walk the identical draw
+// sequence — one uniform_int per Algorithm R position, then (prime,
+// accept-slot, advance) with skipped records drawing nothing — so chunked
+// bulk offers are BIT-identical to per-record offers, not merely
+// distribution-identical.
+TEST(SkipAheadKernel, OfferRunMatchesPerRecordOffer) {
+  constexpr std::size_t kCapacity = 32;  // switches at position 512
+  const auto stream = iota_stream(5000);
+
+  ReservoirSampler<int> per_record(kCapacity, 77);
+  ReservoirSampler<int> bulk(kCapacity, 77);
   for (int x : stream) per_record.offer(x);
-  // Ragged chunk sizes cross the fill boundary and land acceptances both at
-  // chunk edges and interiors.
+  // Ragged chunk sizes cross the fill boundary and the R → L switch and land
+  // acceptances both at chunk edges and interiors.
   const std::size_t chunks[] = {7, 64, 1, 130, 3, 500};
   std::size_t i = 0, c = 0;
   while (i < stream.size()) {
@@ -52,64 +165,251 @@ TEST(SkipAheadKernel, OfferRunMatchesPerRecordOffer) {
   EXPECT_DOUBLE_EQ(per_record.weight(), bulk.weight());
 }
 
+// The same parity over random capacities and random splits, with a chunk
+// boundary exactly at the switch position and a mid-stream shrink on both
+// sides, compared after every chunk.
+TEST(SkipAheadKernel, OfferRunMatchesOfferOverRandomSplits) {
+  Rng rng(1234);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t k = 1 + rng.uniform_int(24);
+    const std::size_t switch_at = k * kSkipAheadRatio;
+    const std::size_t n =
+        switch_at * (1 + rng.uniform_int(4)) + rng.uniform_int(50);
+    const auto stream = iota_stream(static_cast<int>(n));
+    const std::size_t shrink_at = rng.uniform_int(n);
+    const std::uint64_t seed = 500 + trial;
+    ReservoirSampler<int> per_record(k, seed);
+    ReservoirSampler<int> bulk(k, seed);
+    std::size_t i = 0;
+    while (i < n) {
+      std::size_t len = 1 + rng.uniform_int(rng.uniform() < 0.5 ? 4 : 300);
+      if (i < switch_at && i + len > switch_at) len = switch_at - i;
+      len = std::min(len, n - i);
+      for (std::size_t j = i; j < i + len; ++j) per_record.offer(stream[j]);
+      bulk.offer_run(stream.data() + i, len);
+      i += len;
+      if (i >= shrink_at && k > 1 && per_record.capacity() == k) {
+        per_record.shrink_capacity(k / 2);
+        bulk.shrink_capacity(k / 2);
+      }
+      ASSERT_EQ(per_record.seen(), bulk.seen()) << "trial " << trial;
+      ASSERT_EQ(per_record.items(), bulk.items())
+          << "trial " << trial << " at " << i;
+    }
+  }
+}
+
 // Selection uniformity under the bulk kernel: every one of 2000 stream
-// positions must land in the sample with probability N/n. Positions are
-// bucketed 20-wide; chi-square with 99 dof, alpha=0.001 critical ~148.2.
+// positions must land in the sample with probability N/n.
 TEST(SkipAheadKernel, BulkSelectionIsUniform) {
   constexpr int kStream = 2000;
-  constexpr std::size_t kCapacity = 50;
+  constexpr std::size_t kCapacity = 50;  // switches at position 800
   constexpr int kTrials = 1000;
-  constexpr int kBuckets = 100;
-  constexpr int kWidth = kStream / kBuckets;
-  std::vector<int> stream(kStream);
-  for (int i = 0; i < kStream; ++i) stream[i] = i;
-  std::vector<double> hits(kBuckets, 0.0);
+  const auto stream = iota_stream(kStream);
+  std::vector<double> hits(kStream, 0.0);
   for (int t = 0; t < kTrials; ++t) {
-    FastReservoirSampler<int> reservoir(kCapacity, 31000 + t);
+    ReservoirSampler<int> reservoir(kCapacity, 31000 + t);
     for (int i = 0; i < kStream; i += 64) {
       reservoir.offer_run(stream.data() + i,
                           std::min<std::size_t>(64, kStream - i));
     }
-    for (int item : reservoir.items()) hits[item / kWidth] += 1.0;
+    for (int item : reservoir.items()) hits[item] += 1.0;
   }
-  const std::vector<double> expected(
-      kBuckets,
-      kTrials * static_cast<double>(kCapacity) / kBuckets);
-  EXPECT_LT(chi_square(hits, expected), 148.2);
+  EXPECT_LT(inclusion_chi_square(hits, kTrials, kCapacity),
+            kChiSquareCritical);
+}
+
+// Inclusion uniformity with streams that end before the switch (pure
+// Algorithm R), exactly at it, one record past it (the first Algorithm L
+// position) and far past it, through both offer paths.
+TEST(SkipAheadKernel, InclusionUniformAroundTheSwitch) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kSwitch = static_cast<int>(kCapacity * kSkipAheadRatio);
+  constexpr int kTrials = 20000;
+  for (const int n : {100, kSwitch, kSwitch + 1, 1000}) {
+    const auto stream = iota_stream(n);
+    for (const bool bulk : {false, true}) {
+      std::vector<double> hits(n, 0.0);
+      Rng chunks(n);
+      for (int t = 0; t < kTrials; ++t) {
+        ReservoirSampler<int> reservoir(kCapacity, 7000 + t);
+        if (bulk) {
+          offer_in_chunks(reservoir, stream, 0, n, chunks);
+        } else {
+          for (int x : stream) reservoir.offer(x);
+        }
+        for (int item : reservoir.items()) hits[item] += 1.0;
+      }
+      EXPECT_LT(inclusion_chi_square(hits, kTrials, kCapacity),
+                kChiSquareCritical)
+          << "n " << n << (bulk ? " offer_run" : " offer");
+    }
+  }
 }
 
 // shrink_capacity invalidates the skip state; the next saturated offer
 // re-primes it from the exact conditional law W ~ Beta(k, s-k+1). If the
 // re-prime were biased (e.g. the naive w=1 restart), positions right after
-// the shrink would be systematically over-selected. Chi-square as above.
+// the shrink would be systematically over-selected.
 TEST(SkipAheadKernel, ShrinkRePrimeKeepsSelectionUniform) {
   constexpr int kStream = 2000;  // 1000 before the shrink, 1000 after
   constexpr int kTrials = 2000;
-  constexpr int kBuckets = 100;
-  constexpr int kWidth = kStream / kBuckets;
-  std::vector<int> stream(kStream);
-  for (int i = 0; i < kStream; ++i) stream[i] = i;
-  std::vector<double> hits(kBuckets, 0.0);
+  const auto stream = iota_stream(kStream);
+  std::vector<double> hits(kStream, 0.0);
   for (int t = 0; t < kTrials; ++t) {
-    FastReservoirSampler<int> reservoir(64, 64000 + t);
+    ReservoirSampler<int> reservoir(64, 64000 + t);
     reservoir.offer_run(stream.data(), 1000);
     reservoir.shrink_capacity(16);
     reservoir.offer_run(stream.data() + 1000, 1000);
     EXPECT_EQ(reservoir.seen(), 2000u);
     EXPECT_EQ(reservoir.items().size(), 16u);
-    for (int item : reservoir.items()) hits[item / kWidth] += 1.0;
+    for (int item : reservoir.items()) hits[item] += 1.0;
   }
-  const std::vector<double> expected(
-      kBuckets, kTrials * 16.0 / kBuckets);
-  EXPECT_LT(chi_square(hits, expected), 148.2);
+  EXPECT_LT(inclusion_chi_square(hits, kTrials, 16), kChiSquareCritical);
 }
 
-// Full counter parity with ReservoirSampler across the operations OASRS
+// A shrink exactly at the switch position and one record after it (once
+// the skip state is primed) both leave every position uniform.
+TEST(SkipAheadKernel, ShrinkAtTheSwitchKeepsSelectionUniform) {
+  constexpr std::size_t kCapacity = 16;
+  constexpr int kSwitch = static_cast<int>(kCapacity * kSkipAheadRatio);
+  constexpr int kStream = 1000;
+  constexpr int kTrials = 10000;
+  const auto stream = iota_stream(kStream);
+  for (const int at : {kSwitch, kSwitch + 1}) {
+    std::vector<double> hits(kStream, 0.0);
+    Rng chunks(at);
+    for (int t = 0; t < kTrials; ++t) {
+      ReservoirSampler<int> reservoir(kCapacity, 81000 + t);
+      offer_in_chunks(reservoir, stream, 0, at, chunks);
+      reservoir.shrink_capacity(kCapacity / 2);
+      offer_in_chunks(reservoir, stream, at, kStream, chunks);
+      for (int item : reservoir.items()) hits[item] += 1.0;
+    }
+    EXPECT_LT(inclusion_chi_square(hits, kTrials, kCapacity / 2),
+              kChiSquareCritical)
+        << "shrink at " << at;
+  }
+}
+
+// A merge whose left side sits exactly at its switch: the merged reservoir
+// (seen past the switch) re-primes and keeps every position uniform.
+TEST(SkipAheadKernel, MergeAtTheSwitchKeepsSelectionUniform) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kSwitch = static_cast<int>(kCapacity * kSkipAheadRatio);
+  constexpr int kStream = 1000;
+  constexpr int kTrials = 20000;
+  const auto stream = iota_stream(kStream);
+  std::vector<double> hits(kStream, 0.0);
+  Rng chunks(99);
+  for (int t = 0; t < kTrials; ++t) {
+    ReservoirSampler<int> left(kCapacity, 120000 + 2 * t);
+    ReservoirSampler<int> right(kCapacity, 120001 + 2 * t);
+    offer_in_chunks(left, stream, 0, kSwitch, chunks);
+    offer_in_chunks(right, stream, kSwitch, 2 * kSwitch, chunks);
+    left.merge(std::move(right));
+    offer_in_chunks(left, stream, 2 * kSwitch, kStream, chunks);
+    EXPECT_EQ(left.seen(), static_cast<std::uint64_t>(kStream));
+    for (int item : left.items()) hits[item] += 1.0;
+  }
+  EXPECT_LT(inclusion_chi_square(hits, kTrials, kCapacity),
+            kChiSquareCritical);
+}
+
+// An interval closed (OasrsSampler::take: take_items + reset) exactly at the
+// switch and one record after it: the next interval starts over in the
+// Algorithm R phase and samples its own positions uniformly.
+TEST(SkipAheadKernel, TakeAtTheSwitchKeepsNextIntervalUniform) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kSwitch = static_cast<int>(kCapacity * kSkipAheadRatio);
+  constexpr int kStream = 1000;
+  constexpr int kTrials = 20000;
+  std::vector<engine::Record> stream;
+  for (int i = 0; i < kStream; ++i) {
+    stream.push_back(engine::Record{0, static_cast<double>(i), i});
+  }
+  for (const int at : {kSwitch, kSwitch + 1}) {
+    std::vector<double> hits(kStream, 0.0);
+    for (int t = 0; t < kTrials; ++t) {
+      sampling::OasrsConfig config;
+      config.per_stratum_capacity = kCapacity;
+      config.seed = 150000 + t;
+      auto sampler = sampling::make_oasrs<engine::Record>(config);
+      sampler.offer_run(0, stream.data(), static_cast<std::size_t>(at));
+      const auto first = sampler.take();
+      ASSERT_EQ(first.strata.size(), 1u);
+      ASSERT_EQ(first.strata[0].items.size(), kCapacity);
+      for (int i = 0; i < kStream; i += 50) {
+        sampler.offer_run(0, stream.data() + i, 50);
+      }
+      const auto second = sampler.take();
+      ASSERT_EQ(second.strata.size(), 1u);
+      for (const auto& record : second.strata[0].items) {
+        hits[static_cast<std::size_t>(record.value)] += 1.0;
+      }
+    }
+    EXPECT_LT(inclusion_chi_square(hits, kTrials, kCapacity),
+              kChiSquareCritical)
+        << "take at " << at;
+  }
+}
+
+// skip_ahead = false pins Algorithm R: every offer, run, shrink, merge and
+// reset draws exactly what the reference draws.
+TEST(SkipAheadKernel, AlgorithmRPathBitIdenticalToReference) {
+  Rng rng(4321);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t k = rng.uniform_int(20);  // includes capacity 0
+    const auto stream = iota_stream(4000);
+    const std::uint64_t seed = 900 + trial;
+    ReservoirSampler<int> pinned(k, seed, /*skip_ahead=*/false);
+    ReferenceAlgorithmR<int> reference(k, seed);
+    ReservoirSampler<int> donor(k, seed + 1, /*skip_ahead=*/false);
+    ReferenceAlgorithmR<int> donor_reference(k, seed + 1);
+    for (int x = 3000; x < 4000; ++x) {
+      donor.offer(x);
+      donor_reference.offer(x);
+    }
+    std::size_t i = 0;
+    int step = 0;
+    while (i < 3000) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.uniform_int(200), 3000 - i);
+      if (step++ % 2 == 0) {
+        pinned.offer_run(stream.data() + i, len);
+      } else {
+        for (std::size_t j = i; j < i + len; ++j) pinned.offer(stream[j]);
+      }
+      for (std::size_t j = i; j < i + len; ++j) reference.offer(stream[j]);
+      i += len;
+      ASSERT_EQ(pinned.items(), reference.items()) << "trial " << trial;
+      ASSERT_EQ(pinned.seen(), reference.seen()) << "trial " << trial;
+      if (step == 5) {
+        pinned.shrink_capacity(k / 2);
+        reference.shrink_capacity(k / 2);
+      }
+      if (step == 8) {
+        pinned.merge(donor);
+        reference.merge_from(donor_reference.items(), donor_reference.seen());
+      }
+      ASSERT_EQ(pinned.items(), reference.items()) << "trial " << trial;
+    }
+    pinned.reset(k + 3);
+    reference.reset(k + 3);
+    for (int x = 0; x < 500; ++x) {
+      pinned.offer(x);
+      reference.offer(x);
+    }
+    EXPECT_EQ(pinned.items(), reference.items()) << "trial " << trial;
+  }
+}
+
+// Counter parity with the Algorithm R path across the operations OASRS
 // exercises: take_items, reset(new_capacity), shrink, zero capacity, merge.
 TEST(SkipAheadKernel, CountersMatchAlgorithmRSemantics) {
-  ReservoirSampler<int> r(8, 1);
-  FastReservoirSampler<int> l(8, 1);
-  for (int i = 0; i < 100; ++i) {
+  ReservoirSampler<int> r(8, 1, /*skip_ahead=*/false);
+  ReservoirSampler<int> l(8, 1);
+  for (int i = 0; i < 1000; ++i) {
     r.offer(i);
     l.offer(i);
   }
@@ -141,22 +441,22 @@ TEST(SkipAheadKernel, CountersMatchAlgorithmRSemantics) {
   EXPECT_EQ(l.seen(), 200u);
   EXPECT_EQ(l.items().size(), 2u);
 
-  FastReservoirSampler<int> zero(0, 2);
+  ReservoirSampler<int> zero(0, 2);
   int payload = 1;
   zero.offer(payload);
   zero.offer_run(&payload, 1);
   EXPECT_EQ(zero.seen(), 2u);
   EXPECT_TRUE(zero.items().empty());
 
-  FastReservoirSampler<int> a(10, 3);
-  FastReservoirSampler<int> b(10, 4);
-  for (int i = 0; i < 100; ++i) a.offer(i);
-  for (int i = 100; i < 150; ++i) b.offer(i);
+  ReservoirSampler<int> a(10, 3);
+  ReservoirSampler<int> b(10, 4);
+  for (int i = 0; i < 200; ++i) a.offer(i);
+  for (int i = 200; i < 300; ++i) b.offer(i);
   a.merge(b);
-  EXPECT_EQ(a.seen(), 150u);
+  EXPECT_EQ(a.seen(), 300u);
   EXPECT_EQ(a.items().size(), 10u);
-  for (int i = 150; i < 400; ++i) a.offer(i);  // re-prime after merge
-  EXPECT_EQ(a.seen(), 400u);
+  for (int i = 300; i < 800; ++i) a.offer(i);  // re-prime after merge
+  EXPECT_EQ(a.seen(), 800u);
   EXPECT_EQ(a.items().size(), 10u);
 }
 
